@@ -100,7 +100,13 @@ def _cmd_resolution(args) -> int:
     return 0
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+
+
 def _cmd_verify_equivalence(args) -> int:
+    _check_trials(args.trials)
     rng = SplitMix64(args.seed)
     mismatches = 0
     achievable = 0
@@ -150,6 +156,7 @@ def _cmd_fm_compare(args) -> int:
 
 
 def _cmd_subset_entropy(args) -> int:
+    _check_trials(args.trials)
     rng = SplitMix64(args.seed)
     members = generate_ordered(args.levels)
     failures = 0
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for symmetric multilevel diversity coding rate regions.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def levels(p, maximum=None):
+    def levels(p):
         p.add_argument("--levels", type=int, required=True, metavar="L")
 
     p = sub.add_parser("gen", help="stream the region inequalities")

@@ -8,7 +8,10 @@ f(lambda) of the entropy profile:
 Membership of a rate tuple is decided two independent ways: by evaluating the
 ordered inequalities against the ascending-sorted rates (the rearrangement
 pairing makes those sufficient), and by exact LP feasibility of the underlying
-per-level allocation.
+per-level allocation.  That allocation LP has O(L^2) rows: "the a smallest
+entries of column a sum to at least H_a" is linearized with one threshold and
+L excess variables per level (Ogryczak & Tamir 2003).  The LP with one row per
+encoder subset, 2^L - 1 in all, is kept as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class SuperpositionAllocation:
         return tuple(sum(row, Fraction(0)) for row in self.r)
 
     def satisfies(self, query: RateQuery) -> bool:
+        """Exact check; the weakest cardinality-a subset is the a smallest
+        entries of column a, so one sorted prefix per level covers them all."""
         L = self.L
         if L != query.L or any(len(row) != L for row in self.r):
             return False
@@ -105,10 +110,9 @@ class SuperpositionAllocation:
         if self.row_sums() != query.rates:
             return False
         for a in range(1, L + 1):
-            h = query.entropies[a - 1]
-            for subset in itertools.combinations(range(L), a):
-                if sum(self.r[l][a - 1] for l in subset) < h:
-                    return False
+            smallest = sorted(row[a - 1] for row in self.r)[:a]
+            if sum(smallest, Fraction(0)) < query.entropies[a - 1]:
+                return False
         return True
 
     def to_json_obj(self) -> list[list[str]]:
@@ -160,7 +164,8 @@ def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:
 
 
 def superposition_feasibility_lp(query: RateQuery) -> LinearProgram:
-    """The allocation-existence LP: variables r[l][a] flattened row-major."""
+    """The allocation-existence LP with one row per encoder subset; variables
+    r[l][a] flattened row-major.  Exponential in L: kept as a test oracle."""
     L = query.L
     if L > MAX_LP_LEVELS:
         raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
@@ -180,15 +185,62 @@ def superposition_feasibility_lp(query: RateQuery) -> LinearProgram:
     return lp
 
 
+def compact_allocation_lp(query: RateQuery) -> LinearProgram:
+    """The allocation-existence LP in O(L^2) rows.
+
+    Variables: r[l][a] flattened row-major, then for each middle level
+    a = 2..L-1 a threshold t_a followed by excesses u[l][a].  The a smallest
+    entries x_l of a column sum to max_t (a t - sum_l (t - x_l)^+), so they
+    reach H_a exactly when some t_a, u >= 0 have a t_a - sum_l u[l][a] >= H_a
+    and u[l][a] >= t_a - x_l.  Level 1 (every entry) becomes lower bounds on
+    r[l][0]; level L (the column sum) is a single row.
+    """
+    L = query.L
+    if L > MAX_LP_LEVELS:
+        raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
+    n = L * L + max(L - 2, 0) * (L + 1)
+    lp = LinearProgram(n)
+    zero = [0] * n
+    for l in range(L):
+        row = zero.copy()
+        row[l * L:(l + 1) * L] = [1] * L
+        lp.add(row, Relation.EQ, query.rates[l])
+    lower = [Fraction(0)] * n
+    lower[:L * L:L] = [query.entropies[0]] * L
+    lp.var_lower_bounds = tuple(lower)
+    if L > 1:
+        row = zero.copy()
+        row[L - 1:L * L:L] = [1] * L
+        lp.add(row, Relation.GE, query.entropies[L - 1])
+    for a in range(2, L):
+        t = L * L + (a - 2) * (L + 1)
+        row = zero.copy()
+        row[t] = a
+        row[t + 1:t + 1 + L] = [-1] * L
+        lp.add(row, Relation.GE, query.entropies[a - 1])
+        for l in range(L):
+            row = zero.copy()
+            row[t + 1 + l] = 1
+            row[l * L + a - 1] = 1
+            row[t] = -1
+            lp.add(row, Relation.GE, 0)
+    return lp
+
+
 def check_achievable_lp(query: RateQuery) -> MembershipVerdict:
-    """Exact LP feasibility of the per-level allocation system."""
-    lp = superposition_feasibility_lp(query)
-    result = solve(lp)
+    """Exact LP feasibility of the per-level allocation system.
+
+    The allocation witness is re-verified exactly before it is returned.
+    """
+    result = solve(compact_allocation_lp(query))
     if result.status is Status.INFEASIBLE:
         return MembershipVerdict(False, "lp")
     L = query.L
-    rows = tuple(tuple(result.point[l * L + a] for a in range(L)) for l in range(L))
-    return MembershipVerdict(True, "lp", witness_allocation=SuperpositionAllocation(rows))
+    allocation = SuperpositionAllocation(
+        tuple(tuple(result.point[l * L:(l + 1) * L]) for l in range(L)))
+    if not allocation.satisfies(query):
+        raise RuntimeError("LP allocation failed exact verification")
+    return MembershipVerdict(True, "lp", witness_allocation=allocation)
 
 
 def redundancy_certificate(L: int, index: int, entropies) -> tuple[bool, tuple[Fraction, ...] | None]:

@@ -132,3 +132,25 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "resolution", "--lambda", "0,0", "--alpha", "1")
     assert code == 2
+
+
+def test_check_lp_level_limit(capsys):
+    ones = ",".join(["1"] * 13)
+    code, out, err = run_cli(capsys, "check", "--levels", "13", "--rates", ones,
+                             "--entropies", ones, "--method", "lp")
+    assert code == 2 and out == ""
+    assert "feasibility LP limited to L <= 12" in err
+
+
+def test_verify_equivalence_negative_trials(capsys):
+    code, out, err = run_cli(capsys, "verify-equivalence", "--levels", "2",
+                             "--trials", "-5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: trials must be >= 0\n"
+
+
+def test_subset_entropy_negative_trials(capsys):
+    code, out, err = run_cli(capsys, "subset-entropy", "--levels", "2",
+                             "--trials", "-3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: trials must be >= 0\n"

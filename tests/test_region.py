@@ -1,13 +1,17 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from golden import TABLES
-from smdc.lp import assert_feasible_point
-from smdc.region import (Inequality, RateQuery,
+from smdc.errors import ResourceLimitError
+from smdc.lp import Status, assert_feasible_point, solve
+from smdc.region import (MAX_LP_LEVELS, Inequality, RateQuery,
                          SuperpositionAllocation, check_achievable_inequalities,
-                         check_achievable_lp, list_inequalities,
-                         redundancy_certificate, superposition_feasibility_lp)
+                         check_achievable_lp, compact_allocation_lp,
+                         list_inequalities, redundancy_certificate,
+                         superposition_feasibility_lp)
+from smdc.rng import SplitMix64, random_boundary_query, random_fraction
 
 
 def test_rate_query_validation():
@@ -150,3 +154,95 @@ def test_methods_agree_on_fixed_grid():
             q = RateQuery((r1, r2), (1, 1))
             assert check_achievable_inequalities(q).achievable == \
                 check_achievable_lp(q).achievable, (r1, r2)
+
+
+def covers_every_subset(allocation, query):
+    """Oracle for SuperpositionAllocation.satisfies: all 2^L - 1 subsets."""
+    r, L = allocation.r, query.L
+    if len(r) != L or any(len(row) != L for row in r):
+        return False
+    if any(x < 0 for row in r for x in row) or allocation.row_sums() != query.rates:
+        return False
+    return all(sum(r[l][a - 1] for l in subset) >= query.entropies[a - 1]
+               for a in range(1, L + 1)
+               for subset in itertools.combinations(range(L), a))
+
+
+def test_satisfies_matches_subset_enumeration():
+    rng = SplitMix64(303)
+    outcomes = set()
+    for _ in range(300):
+        L = 1 + rng.randrange(6)
+        r = tuple(tuple(random_fraction(rng) for _ in range(L)) for _ in range(L))
+        allocation = SuperpositionAllocation(r)
+        rates = allocation.row_sums()
+        # the weakest subset of each size, found without sorting
+        tight = [min(sum(r[l][a - 1] for l in subset)
+                     for subset in itertools.combinations(range(L), a))
+                 for a in range(1, L + 1)]
+        level = rng.randrange(L)
+        nudge = F(1, rng.choice((1, 2, 3, 4, 6, 8, 12)))
+        cases = [(tight, True)]
+        cases.append((tight[:level] + [tight[level] + nudge] + tight[level + 1:], False))
+        if tight[level] >= nudge:
+            cases.append((tight[:level] + [tight[level] - nudge] + tight[level + 1:], True))
+        for entropies, expected in cases:
+            query = RateQuery(rates, entropies)
+            assert allocation.satisfies(query) == covers_every_subset(allocation, query) \
+                == expected, (r, entropies)
+            outcomes.add(expected)
+        if L > 1 and r[0][0] > 0:
+            # moving mass within a row keeps the rates but can go negative
+            shifted = ((-r[0][0], r[0][1] + 2 * r[0][0]) + r[0][2:],) + r[1:]
+            skewed = SuperpositionAllocation(shifted)
+            query = RateQuery(rates, [F(0)] * L)
+            assert not skewed.satisfies(query) and not covers_every_subset(skewed, query)
+    assert outcomes == {True, False}
+
+
+def test_compact_lp_shape_and_limit():
+    for L in range(1, 9):
+        lp = compact_allocation_lp(RateQuery((1,) * L, (1,) * L))
+        middle = max(L - 2, 0)
+        assert lp.num_vars == L * L + middle * (L + 1)
+        assert len(lp.rows) == L + (L > 1) + middle * (L + 1)
+    assert len(superposition_feasibility_lp(RateQuery((1,) * 7, (1,) * 7)).rows) == 134
+    big = RateQuery((1,) * (MAX_LP_LEVELS + 1), (1,) * (MAX_LP_LEVELS + 1))
+    with pytest.raises(ResourceLimitError):
+        compact_allocation_lp(big)
+    with pytest.raises(ResourceLimitError):
+        check_achievable_lp(big)
+
+
+def test_compact_lp_agrees_with_subset_lp():
+    for L in range(2, 7):
+        rng = SplitMix64(600 + L)
+        verdicts = set()
+        for _ in range(50):
+            query = RateQuery(*random_boundary_query(rng, L))
+            vl = check_achievable_lp(query)
+            oracle = solve(superposition_feasibility_lp(query))
+            assert vl.achievable == (oracle.status is not Status.INFEASIBLE), query
+            assert vl.achievable == check_achievable_inequalities(query).achievable, query
+            if vl.achievable:
+                assert covers_every_subset(vl.witness_allocation, query)
+            verdicts.add(vl.achievable)
+        assert verdicts == {True, False}
+
+
+def test_compact_lp_agrees_with_inequalities_large_levels():
+    for L in (8, 9):
+        rng = SplitMix64(800 + L)
+        verdicts = set()
+        for _ in range(8):
+            query = RateQuery(*random_boundary_query(rng, L))
+            vl = check_achievable_lp(query)
+            vi = check_achievable_inequalities(query)
+            assert vl.achievable == vi.achievable, query
+            if vl.achievable:
+                assert vl.witness_allocation.satisfies(query)
+            else:
+                assert vi.witness_inequality.lhs(query.rates) < \
+                    vi.witness_inequality.rhs(query.entropies)
+            verdicts.add(vl.achievable)
+        assert verdicts == {True, False}
