@@ -15,14 +15,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .entropy import (chain_feasibility, entropy_vector, han_check,
-                      random_joint_distribution)
+from .entropy import (chain_feasibility, check_chain_levels, entropy_vector,
+                      han_check, random_joint_distribution)
 from .errors import ResourceLimitError
 from .fm import fourier_motzkin_region, systems_equivalent
 from .generator import check_bounds, generate_ordered
 from .ratio import format_rational, parse_rational_list
 from .region import (Inequality, RateQuery, check_achievable_inequalities,
-                     check_achievable_lp, list_inequalities, redundancy_certificate)
+                     check_achievable_lp, check_lp_levels, list_inequalities,
+                     redundancy_certificate)
 from .resolution import LambdaVector, f_alpha, optimal_resolution, verify_resolution
 from .rng import SplitMix64, random_boundary_query
 
@@ -31,8 +32,14 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _lambda_cell(ineq: Inequality) -> str:
-    return "(" + ",".join(format_rational(c) for c in ineq.lam) + ")"
+def _write_rows(ineqs: list[Inequality], L: int, delimiter: str) -> None:
+    """The table layout: a header, then lambda, f_1..f_L and theta per row."""
+    writer = csv.writer(sys.stdout, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(["lambda"] + [f"f{a}" for a in range(1, L + 1)] + ["theta"])
+    for ineq in ineqs:
+        writer.writerow(["(" + ",".join(format_rational(c) for c in ineq.lam) + ")"]
+                        + [format_rational(v) for v in ineq.f_values]
+                        + [ineq.theta])
 
 
 def _cmd_gen(args) -> int:
@@ -41,12 +48,7 @@ def _cmd_gen(args) -> int:
         for ineq in ineqs:
             _emit(ineq.to_json_obj())
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["lambda"] + [f"f{a}" for a in range(1, args.levels + 1)] + ["theta"])
-        for ineq in ineqs:
-            writer.writerow([_lambda_cell(ineq)]
-                            + [format_rational(v) for v in ineq.f_values]
-                            + [ineq.theta])
+        _write_rows(ineqs, args.levels, ",")
     return 0
 
 
@@ -57,12 +59,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    header = ["lambda"] + [f"f{a}" for a in range(1, args.levels + 1)] + ["theta"]
-    sys.stdout.write("\t".join(header) + "\n")
-    for ineq in list_inequalities(args.levels):
-        cells = [_lambda_cell(ineq)] + [format_rational(v) for v in ineq.f_values] \
-            + [str(ineq.theta)]
-        sys.stdout.write("\t".join(cells) + "\n")
+    _write_rows(list_inequalities(args.levels), args.levels, "\t")
     return 0
 
 
@@ -72,6 +69,8 @@ def _cmd_check(args) -> int:
     if len(rates) != args.levels or len(entropies) != args.levels:
         raise ValueError("--rates and --entropies must match --levels")
     query = RateQuery(rates, entropies)
+    if args.method != "ineq":
+        check_lp_levels(query.L)  # before the inequality scan
     verdicts = []
     if args.method in ("ineq", "both"):
         verdicts.append(check_achievable_inequalities(query))
@@ -147,16 +146,15 @@ def _cmd_redundancy(args) -> int:
 def _cmd_fm_compare(args) -> int:
     fm = fourier_motzkin_region(args.levels)
     gen = list_inequalities(args.levels, ordered_only=False)
-    fm_set = {(tuple(i.lam), i.f_values) for i in fm}
-    gen_set = {(tuple(i.lam), i.f_values) for i in gen}
     equivalent = systems_equivalent(fm, gen)
     _emit({"levels": args.levels, "fm_rows": len(fm), "generator_rows": len(gen),
-           "sets_equal": fm_set == gen_set, "polyhedra_equivalent": equivalent})
+           "sets_equal": set(fm) == set(gen), "polyhedra_equivalent": equivalent})
     return 0 if equivalent else 1
 
 
 def _cmd_subset_entropy(args) -> int:
     _check_trials(args.trials)
+    check_chain_levels(args.levels)
     rng = SplitMix64(args.seed)
     members = generate_ordered(args.levels)
     failures = 0

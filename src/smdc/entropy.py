@@ -144,6 +144,11 @@ def han_check(ev: EntropyVector, slack: Fraction = COMPARISON_SLACK) -> bool:
     return True
 
 
+def check_chain_levels(L: int) -> None:
+    if L > MAX_CHAIN_LEVELS:
+        raise ResourceLimitError(f"chain feasibility limited to L <= {MAX_CHAIN_LEVELS}")
+
+
 def chain_feasibility(lam, ev: EntropyVector,
                       slack: Fraction = COMPARISON_SLACK
                       ) -> tuple[bool, list[Resolution] | None]:
@@ -156,8 +161,7 @@ def chain_feasibility(lam, ev: EntropyVector,
     lv = LambdaVector.coerce(lam)
     if lv.L != ev.L:
         raise ValueError("lambda and entropy vector dimensions differ")
-    if lv.L > MAX_CHAIN_LEVELS:
-        raise ResourceLimitError(f"chain feasibility limited to L <= {MAX_CHAIN_LEVELS}")
+    check_chain_levels(lv.L)
     if lv.theta_seq is None:
         raise ValueError("lambda is not in the generator set")
     L = lv.L

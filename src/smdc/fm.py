@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ResourceLimitError
-from .lp import LinearProgram, Relation, Sense, Status, solve
+from .lp import LinearProgram, Relation, Status, solve
 from .region import Inequality
 from .resolution import LambdaVector
 
@@ -166,7 +166,7 @@ def _row_to_inequality(row: tuple[int, ...], L: int) -> Inequality:
         raise AssertionError(f"projected row is not region-shaped: {row}")
     scale = min(c for c in lam if c)
     lv = LambdaVector(tuple(c / scale for c in lam))
-    return Inequality(lv, tuple(v / scale for v in f), lv.theta)
+    return Inequality(lv, tuple(v / scale for v in f))
 
 
 def _inequality_sort_key(ineq: Inequality):
@@ -176,47 +176,13 @@ def _inequality_sort_key(ineq: Inequality):
     return (1, ineq.lam.zeta, (), ineq.lam.components)
 
 
-def fourier_motzkin_region(L: int, entropies=None) -> list[Inequality]:
-    """Projected inequality system over the rates, one Inequality per row.
-
-    The entropy profile is carried symbolically; when a concrete positive
-    profile is supplied, the final redundancy removal is performed at that
-    profile instead of over the joint nonnegative cone.
-    """
+def fourier_motzkin_region(L: int) -> list[Inequality]:
+    """Projected system, one Inequality per row, irredundant over R, H >= 0."""
     if not 1 <= L <= MAX_FM_LEVELS:
         raise ResourceLimitError(f"Fourier-Motzkin limited to 1 <= L <= {MAX_FM_LEVELS}")
-    rows = _project_allocation_system(L)
-    if entropies is None:
-        minimal = _minimize_system(rows)
-    else:
-        entropies = tuple(Fraction(h) for h in entropies)
-        if len(entropies) != L:
-            raise ValueError("entropies must have length L")
-        minimal = _minimize_at_profile(rows, L, entropies)
-    ineqs = [_row_to_inequality(row, L) for row in minimal]
+    rows = _minimize_system(_project_allocation_system(L))
+    ineqs = [_row_to_inequality(row, L) for row in rows]
     return sorted(ineqs, key=_inequality_sort_key)
-
-
-def _minimize_at_profile(rows: list[tuple[int, ...]], L: int,
-                         entropies: tuple[Fraction, ...]) -> list[tuple[int, ...]]:
-    def implied(target, others) -> bool:
-        lp = LinearProgram(L)
-        for row in others:
-            rhs = -sum(Fraction(c) * h for c, h in zip(row[L:], entropies))
-            lp.add([Fraction(c) for c in row[:L]], Relation.GE, rhs)
-        lp.set_objective([Fraction(c) for c in target[:L]], Sense.MIN)
-        result = solve(lp)
-        if result.status is Status.UNBOUNDED:
-            return False
-        bound = -sum(Fraction(c) * h for c, h in zip(target[L:], entropies))
-        return result.objective_value >= bound
-
-    kept = sorted(set(rows))
-    for row in sorted(set(rows)):
-        others = [r for r in kept if r != row]
-        if implied(row, others):
-            kept = others
-    return kept
 
 
 def inequality_to_row(ineq: Inequality) -> tuple[int, ...]:

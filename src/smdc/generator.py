@@ -15,7 +15,6 @@ any vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
@@ -39,27 +38,20 @@ def _full_support(components: tuple[Fraction, ...], total: Fraction,
 def iter_ordered(L: int) -> Iterator[LambdaVector]:
     """Stream the ordered members for L levels in canonical order.
 
+    L is checked when this is called, not when the stream is first read.
     Memory stays O(L): each zeta block is a depth-first walk of the recursion
     tree, so large L never holds the full (super-exponential) set at once.
     """
     if not 1 <= L <= MAX_ENUM_L:
         raise ResourceLimitError(f"enumeration limited to 1 <= L <= {MAX_ENUM_L}")
     one = Fraction(1)
-    for zeta in range(1, L + 1):
-        pad = (Fraction(0),) * (L - zeta)
-        for comps in _full_support((one,), one, 0, zeta - 1):
-            yield LambdaVector(comps + pad)
-
-
-@lru_cache(maxsize=None)
-def _ordered_cached(L: int) -> tuple[LambdaVector, ...]:
-    return tuple(iter_ordered(L))
+    return (LambdaVector(comps + (Fraction(0),) * (L - zeta))
+            for zeta in range(1, L + 1)
+            for comps in _full_support((one,), one, 0, zeta - 1))
 
 
 def generate_ordered(L: int) -> list[LambdaVector]:
-    """All ordered members as a list (cached for small L)."""
-    if L <= 10:
-        return list(_ordered_cached(L))
+    """All ordered members as a list."""
     return list(iter_ordered(L))
 
 

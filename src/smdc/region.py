@@ -17,16 +17,19 @@ encoder subset, 2^L - 1 in all, is kept as an independent test oracle.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import ResourceLimitError
-from .generator import expand_permutations, generate_ordered
+from .generator import expand_permutations, iter_ordered
 from .lp import LinearProgram, Relation, Sense, Status, solve
 from .ratio import format_rational
 from .resolution import LambdaVector, f_vector
 
 MAX_LP_LEVELS = 12
+MAX_REMEMBERED_L = 10
 
 
 @dataclass(frozen=True)
@@ -35,25 +38,25 @@ class Inequality:
 
     lam: LambdaVector
     f_values: tuple[Fraction, ...]
-    theta: int | None = None
 
     @classmethod
     def from_lambda(cls, lam) -> "Inequality":
         lv = LambdaVector.coerce(lam)
-        return cls(lv, f_vector(lv).values, lv.theta)
+        return cls(lv, f_vector(lv).values)
 
     @property
     def L(self) -> int:
         return self.lam.L
+
+    @property
+    def theta(self) -> int | None:
+        return self.lam.theta
 
     def lhs(self, rates) -> Fraction:
         return sum(l * Fraction(r) for l, r in zip(self.lam, rates))
 
     def rhs(self, entropies) -> Fraction:
         return sum(f * Fraction(h) for f, h in zip(self.f_values, entropies))
-
-    def holds_for(self, rates, entropies) -> bool:
-        return self.lhs(rates) >= self.rhs(entropies)
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,11 +138,48 @@ class MembershipVerdict:
         return {"achievable": self.achievable, "method": self.method, "witness": witness}
 
 
+_TABLES: dict[int, tuple[list[Inequality], Iterator[LambdaVector], dict]] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def ordered_inequalities(L: int) -> Iterator[Inequality]:
+    """The ordered rows S_L^0 in canonical order, computed as they are read.
+
+    L is checked first.  For L <= MAX_REMEMBERED_L the rows are remembered:
+    later reads replay them, f runs once per row per process, and equal f
+    values share one Fraction to keep the tables small.  Larger L is streamed.
+    """
+    if L > MAX_REMEMBERED_L:
+        return map(Inequality.from_lambda, iter_ordered(L))
+    return _replay(L, *_TABLES.setdefault(L, ([], iter_ordered(L), {})))
+
+
+def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Inequality]:
+    i = 0
+    while True:
+        with _TABLES_LOCK:  # one reader at a time extends a table
+            if i == len(rows):
+                try:
+                    lv = next(members)
+                    f = tuple(shared.setdefault(v.as_integer_ratio(), v)
+                              for v in f_vector(lv).values)
+                    rows.append(Inequality(lv, f))
+                except StopIteration:
+                    return
+                except BaseException:
+                    _TABLES.pop(L, None)  # an interrupted enumeration is finished
+                    raise
+        yield rows[i]
+        i += 1
+
+
 def list_inequalities(L: int, ordered_only: bool = True) -> list[Inequality]:
-    """The region's halfspaces; ordered-only reproduces the table rows."""
-    base = generate_ordered(L)
-    members = base if ordered_only else expand_permutations(base)
-    return [Inequality.from_lambda(lv) for lv in members]
+    """The region's halfspaces; ordered-only reproduces the table rows.  The
+    closure reuses each ordered row's f, which depends only on sorted lambda."""
+    if ordered_only:
+        return list(ordered_inequalities(L))
+    return [Inequality(lv, row.f_values) for row in ordered_inequalities(L)
+            for lv in expand_permutations((row.lam,))]
 
 
 def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:
@@ -151,24 +191,24 @@ def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:
     """
     order = sorted(range(query.L), key=lambda i: (query.rates[i], i))
     sorted_rates = [query.rates[i] for i in order]
-    for lv in generate_ordered(query.L):
-        ineq = Inequality.from_lambda(lv)
-        if sum(l * r for l, r in zip(lv, sorted_rates)) < ineq.rhs(query.entropies):
-            perm = [0] * query.L
-            for pos, i in enumerate(order):
-                perm[i] = pos
-            witness_lam = LambdaVector(tuple(lv.components[p] for p in perm))
-            witness = Inequality(witness_lam, ineq.f_values, lv.theta)
+    for row in ordered_inequalities(query.L):
+        if sum(l * r for l, r in zip(row.lam, sorted_rates)) < row.rhs(query.entropies):
+            rank = sorted(range(query.L), key=order.__getitem__)
+            witness = Inequality(row.lam.permuted(rank), row.f_values)
             return MembershipVerdict(False, "ineq", witness_inequality=witness)
     return MembershipVerdict(True, "ineq")
+
+
+def check_lp_levels(L: int) -> None:
+    if L > MAX_LP_LEVELS:
+        raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
 
 
 def superposition_feasibility_lp(query: RateQuery) -> LinearProgram:
     """The allocation-existence LP with one row per encoder subset; variables
     r[l][a] flattened row-major.  Exponential in L: kept as a test oracle."""
     L = query.L
-    if L > MAX_LP_LEVELS:
-        raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
+    check_lp_levels(L)
     lp = LinearProgram(L * L)
     zero = [Fraction(0)] * (L * L)
     for l in range(L):
@@ -196,8 +236,7 @@ def compact_allocation_lp(query: RateQuery) -> LinearProgram:
     r[l][0]; level L (the column sum) is a single row.
     """
     L = query.L
-    if L > MAX_LP_LEVELS:
-        raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
+    check_lp_levels(L)
     n = L * L + max(L - 2, 0) * (L + 1)
     lp = LinearProgram(n)
     zero = [0] * n

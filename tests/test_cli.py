@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -140,6 +141,63 @@ def test_check_lp_level_limit(capsys):
                              "--entropies", ones, "--method", "lp")
     assert code == 2 and out == ""
     assert "feasibility LP limited to L <= 12" in err
+
+
+def test_check_lp_budget_before_scan(capsys, monkeypatch):
+    def scan(query):
+        raise AssertionError("inequality scan ran before the LP budget check")
+
+    monkeypatch.setattr(cli, "check_achievable_inequalities", scan)
+    fours, ones = ",".join(["4"] * 13), ",".join(["1"] * 13)
+    code, out, err = run_cli(capsys, "check", "--levels", "13", "--rates", fours,
+                             "--entropies", ones)
+    assert code == 2 and out == ""
+    assert err == "error: feasibility LP limited to L <= 12\n"
+
+
+def test_subset_entropy_budget_before_trials(capsys):
+    code, out, err = run_cli(capsys, "subset-entropy", "--levels", "5",
+                             "--trials", "1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: chain feasibility limited to L <= 4\n"
+
+
+def test_gen_bad_levels_every_time(capsys):
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "gen", "--levels", "0")
+        assert code == 2 and out == ""
+        assert err == "error: enumeration limited to 1 <= L <= 14\n"
+
+
+# sha256 of each command's stdout: these bytes are part of the interface.
+STDOUT_SHA256 = {
+    "gen --levels 6":
+        "fb4ed0bbc954becf3f6a59be4e3b88ab58c666906edd5e202f9251bf6895308c",
+    "gen --levels 5 --all-perms --format csv":
+        "3e52e63ed88392a47b2e78b7c2e487802bc1191458e46dde857dcfe1c893c243",
+    "table --levels 8":
+        "e6664802fc079d789c70b40e54a71f1452c2aaab3b398eeb87ccbc005b78a399",
+    "check --levels 6 --rates 1,2,3,4,5,1/2 --entropies 1,1,1,1,1,1 --method ineq":
+        "538088f1c73b958f79f5709e64f0ecf5e9b59a5d1cd06ed2d5e5d7a73bda4861",
+    "check --levels 11 --rates 0,0,0,0,0,0,0,0,0,0,0 --entropies 1,1,1,1,1,1,1,1,1,1,1"
+    " --method ineq":
+        "bfc2a59bd3e3126cb1b8c6809134ab1b8398c4ae5d3b6f1cdac03e5ae68910bc",
+    "redundancy --levels 3":
+        "32b23a9cfe916b9af2b000adfff18a6a28b004e1c9cb607cbe355b4f2b925013",
+    "fm-compare --levels 3":
+        "1689cb26ba8d6281779c7a315c49b9719f15cd18cd1f0ce54c56d51b77d97778",
+    "subset-entropy --levels 3 --trials 2 --seed 5":
+        "85c06af9f6e4fc259be1e2cdc07c343996b493c255be5318777c3a541c1884bc",
+}
+
+
+def test_stdout_digests(capsys):
+    changed = []
+    for command, digest in STDOUT_SHA256.items():
+        code, out, _ = run_cli(capsys, *command.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(command)
+    assert changed == []
 
 
 def test_verify_equivalence_negative_trials(capsys):

@@ -34,21 +34,13 @@ def test_level_limit():
         fourier_motzkin_region(5)
 
 
-def test_profile_mode_level2():
-    rows = fourier_motzkin_region(2, entropies=(1, 1))
-    assert {(tuple(i.lam), i.f_values) for i in rows} == \
-        {((1, 0), (1, 0)), ((0, 1), (1, 0)), ((1, 1), (2, 1))}
-    with pytest.raises(ValueError):
-        fourier_motzkin_region(2, entropies=(1,))
-
-
 def test_equivalence_is_sensitive():
     gen = list_inequalities(2, ordered_only=False)
     # dropping the sum inequality changes the polyhedron
     pruned = [i for i in gen if tuple(i.lam) != (1, 1)]
     assert not systems_equivalent(gen, pruned)
     # scaling rows does not
-    scaled = [Inequality(i.lam, i.f_values, i.theta) for i in gen]
+    scaled = [Inequality(i.lam, i.f_values) for i in gen]
     assert systems_equivalent(gen, scaled)
 
 

@@ -1,10 +1,13 @@
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from golden import TABLES
+from smdc import region
 from smdc.errors import ResourceLimitError
+from smdc.generator import count_ordered
 from smdc.lp import Status, assert_feasible_point, solve
 from smdc.region import (MAX_LP_LEVELS, Inequality, RateQuery,
                          SuperpositionAllocation, check_achievable_inequalities,
@@ -41,6 +44,56 @@ def test_list_inequalities_examples():
 def test_inequality_recomputable():
     for ineq in list_inequalities(4, ordered_only=False):
         assert Inequality.from_lambda(ineq.lam).f_values == ineq.f_values
+
+
+def test_table_rows_are_remembered():
+    first, second = list_inequalities(7), list_inequalities(7)
+    assert len(first) == len(second) == count_ordered(7)
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_closure_reuses_ordered_f(monkeypatch):
+    monkeypatch.setattr(region, "_TABLES", {})
+    calls = []
+    real = region.f_vector
+    monkeypatch.setattr(region, "f_vector", lambda lam: calls.append(lam) or real(lam))
+    assert len(list_inequalities(4, ordered_only=False)) == 53
+    assert len(calls) == count_ordered(4) == 9
+    list_inequalities(4, ordered_only=False)
+    assert len(calls) == 9
+
+
+def test_interrupted_table_is_rebuilt(monkeypatch):
+    monkeypatch.setattr(region, "_TABLES", {})
+    calls = []
+    real = region.f_vector
+
+    def interrupt_fifth(lam):
+        calls.append(lam)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real(lam)
+
+    monkeypatch.setattr(region, "f_vector", interrupt_fifth)
+    with pytest.raises(KeyboardInterrupt):
+        list_inequalities(5)
+    assert [(tuple(i.lam), i.f_values, i.theta) for i in list_inequalities(5)] == TABLES[5]
+
+
+def test_levels_checked_before_remembering():
+    for L in (0, 15):
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                list_inequalities(L)
+
+
+def test_early_reject_stops_at_once():
+    ones = (1,) * 13
+    start = time.perf_counter()
+    verdict = check_achievable_inequalities(RateQuery(ones, ones))
+    assert time.perf_counter() - start < 3
+    assert not verdict.achievable
+    assert tuple(verdict.witness_inequality.lam) == (1, 1) + (0,) * 11
 
 
 def test_check_examples_level2():
