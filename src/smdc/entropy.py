@@ -30,14 +30,12 @@ MAX_ENTROPY_CELLS = 10 ** 6
 MAX_CHAIN_LEVELS = 4
 
 _WORK_DPS = 50
-_log_cache: dict[int, mpmath.mpf] = {}
 
 
-def _log(n: int) -> mpmath.mpf:
-    value = _log_cache.get(n)
+def _log(n: int, cache: dict[int, mpmath.mpf]) -> mpmath.mpf:
+    value = cache.get(n)
     if value is None:
-        value = mpmath.log(n)
-        _log_cache[n] = value
+        value = cache[n] = mpmath.log(n)
     return value
 
 
@@ -110,8 +108,9 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
         raise ResourceLimitError("alphabet product exceeds the cell budget")
 
     values: dict[int, Fraction] = {}
+    logs: dict[int, mpmath.mpf] = {}
     with mpmath.workdps(_WORK_DPS):
-        log2 = _log(2)
+        log2 = _log(2, logs)
         for mask in range(1, 1 << L):
             coords = [i for i in range(L) if mask >> i & 1]
             marginal: dict[tuple[int, ...], Fraction] = {}
@@ -122,8 +121,8 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
             acc = mpmath.mpf(0)
             for p in marginal.values():
                 if p != 1:
-                    acc -= p.numerator * (_log(p.numerator) - _log(p.denominator)) \
-                        / p.denominator
+                    acc -= p.numerator * (_log(p.numerator, logs)
+                                          - _log(p.denominator, logs)) / p.denominator
             bits = acc / log2
             scaled = mpmath.nint(bits * (1 << ENTROPY_DENOM_BITS))
             values[mask] = Fraction(int(scaled), 1 << ENTROPY_DENOM_BITS)

@@ -8,8 +8,8 @@ theta_prev + 1, where theta_prev encoded the previous leading component.
 
 Output order is fixed: zeta ascending, then the stored theta-sequence
 lexicographically descending, which the recursion emits naturally when t runs
-downward.  Counting walks the same theta chains as a DP without materializing
-any vectors.
+downward.  Counting uses the closed form of the theta-chain counts, without
+materializing any vectors.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .resolution import LambdaVector
 
 MAX_ENUM_L = 14
 MAX_EXPAND_L = 7
+MAX_COUNT_L = 1000
 
 
 def _full_support(components: tuple[Fraction, ...], total: Fraction,
@@ -91,24 +92,19 @@ def expand_permutations(g0) -> list[LambdaVector]:
 
 
 def theta_chain_counts(L: int) -> list[int]:
-    """Block sizes D_1..D_L of the enumeration, via the theta-chain DP.
+    """Block sizes D_1..D_L of the enumeration: D_k = Catalan(k-1).
 
     D_k counts chains (theta_{zeta}=0, then k-1 steps with 1 <= theta' <=
-    theta+1); D_1 is the single-nonzero vector.  No vectors are materialized.
-    Empirically the D_k match the Catalan numbers; only the DP is relied on.
+    theta+1), the height sequences of Dyck paths (Stanley 2015, *Catalan
+    Numbers*); D_1 is the single-nonzero vector.  No vectors are materialized.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    if L > MAX_COUNT_L:
+        raise ResourceLimitError(f"counting limited to L <= {MAX_COUNT_L}")
     counts = [1]
-    # states[t] = number of partial chains currently ending at theta = t
-    states = {0: 1}
-    for _ in range(2, L + 1):
-        nxt: dict[int, int] = {}
-        for t, c in states.items():
-            for t2 in range(1, t + 2):
-                nxt[t2] = nxt.get(t2, 0) + c
-        states = nxt
-        counts.append(sum(states.values()))
+    for k in range(L - 1):
+        counts.append(counts[-1] * 2 * (2 * k + 1) // (k + 2))
     return counts
 
 
@@ -124,11 +120,9 @@ def check_bounds(L: int) -> tuple[int, int, int]:
     1, 2, 4) and the upper bound at L <= 2 (counts 1, 2 against L! = 1, 2).
     Both bounds are strict for L >= 4, and that is asserted here.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    count = count_ordered(L)
     lower = 1 << (L - 1)
     upper = factorial(L)
-    count = count_ordered(L)
     if not lower <= count <= upper:
         raise AssertionError(f"count bound violated at L={L}: {lower}, {count}, {upper}")
     if L >= 4 and not lower < count < upper:

@@ -4,11 +4,12 @@ Dense two-phase simplex over arbitrary-precision rationals with Bland's
 smallest-index rule for both the entering and the leaving variable, so every
 solve terminates (no cycling) and is bit-for-bit deterministic.
 
-Internally each tableau row is stored as a gcd-normalized integer vector with
-a positive scale folded into its basic column ("fraction-free" pivoting); only
-the reduced-cost row is kept in Fractions.  The pivot sequence is identical to
-a plain Fraction tableau because entering/leaving choices depend only on signs
-and exact ratios.
+Rationals appear only in a program's inputs and in its result.  Each tableau
+row is a gcd-normalized integer vector with a positive scale folded into its
+basic column ("fraction-free" pivoting), and the reduced-cost row is an integer
+vector known up to one positive factor, since pricing reads only its signs.
+The pivot sequence is identical to a plain Fraction tableau because
+entering/leaving choices depend only on signs and exact ratios.
 """
 
 from __future__ import annotations
@@ -39,28 +40,31 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     relation: Relation
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass
 class LinearProgram:
-    """num_vars variables with individual lower bounds (default 0), no upper bounds."""
+    """num_vars variables with individual lower bounds (default 0), no upper bounds.
+
+    Coefficients, right-hand sides and bounds are ints or Fractions.
+    """
 
     num_vars: int
     rows: list[LpRow] = field(default_factory=list)
-    objective: tuple[tuple[Fraction, ...], Sense] | None = None
+    objective: tuple[tuple[int | Fraction, ...], Sense] | None = None
     var_lower_bounds: tuple[Fraction, ...] | None = None
 
     def add(self, coeffs, relation: Relation, rhs) -> None:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != self.num_vars:
             raise ValueError("row length does not match num_vars")
-        self.rows.append(LpRow(coeffs, relation, Fraction(rhs)))
+        self.rows.append(LpRow(coeffs, relation, rhs))
 
     def set_objective(self, coeffs, sense: Sense) -> None:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
         self.objective = (coeffs, sense)
@@ -91,12 +95,12 @@ class _Tableau:
         return Fraction(self.rhs[i], self.rows[i][self.basis[i]])
 
     def _normalize(self, i: int) -> None:
-        g = gcd(self.rhs[i], *(abs(a) for a in self.rows[i]))
+        g = gcd(self.rhs[i], *self.rows[i])
         if g > 1:
             self.rows[i] = [a // g for a in self.rows[i]]
             self.rhs[i] //= g
 
-    def pivot(self, j: int, r: int, obj: list[Fraction] | None) -> None:
+    def pivot(self, j: int, r: int, obj: list[int] | None) -> None:
         if self.rows[r][j] < 0:
             # Only reached when driving out a zero-valued basic variable.
             self.rows[r] = [-a for a in self.rows[r]]
@@ -113,25 +117,23 @@ class _Tableau:
                 self.rhs[i] = p * self.rhs[i] - q * self.rhs[r]
                 self._normalize(i)
         if obj is not None and obj[j]:
-            factor = obj[j] / p
-            for k in range(self.n_cols):
-                if row_r[k]:
-                    obj[k] -= factor * row_r[k]
+            obj[:] = _eliminate(obj, p, obj[j], row_r)
         self.basis[r] = j
         self._normalize(r)
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
+    def reduced_costs(self, cost: list[int]) -> list[int]:
+        """Reduced costs of the basis, up to one positive factor.
+
+        A basic column is nonzero only in its own row, so each row clears its
+        basic column with the cost still standing there.
+        """
         obj = list(cost)
         for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                diag = self.rows[i][b]
-                for k in range(self.n_cols):
-                    if self.rows[i][k]:
-                        obj[k] -= cb * Fraction(self.rows[i][k], diag)
+            if obj[b]:
+                obj = _eliminate(obj, self.rows[i][b], obj[b], self.rows[i])
         return obj
 
-    def run_simplex(self, obj: list[Fraction], banned: set[int],
+    def run_simplex(self, obj: list[int], banned: set[int],
                     ban_on_leave: set[int] | None = None) -> str:
         while True:
             enter = -1
@@ -159,19 +161,35 @@ class _Tableau:
             self.pivot(enter, leave, obj)
 
 
+def _eliminate(obj: list[int], p: int, q: int, row: list[int]) -> list[int]:
+    """p*obj - q*row over the gcd of its entries; p > 0 keeps every sign."""
+    out = [p * a - q * b for a, b in zip(obj, row)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """(s, s * values) for the least s > 0 that makes every value an int."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def solve(lp: LinearProgram) -> LpResult:
     """Two-phase exact simplex; see module docstring for guarantees."""
     if lp.num_vars < 1:
         raise ValueError("program must have at least one variable")
     n = lp.num_vars
     lb = lp.lower_bounds()
+    shifts = [(k, b) for k, b in enumerate(lb) if b]
 
     # Shift x = y + lb so all variables are >= 0, and drop identically-zero rows.
-    shifted: list[tuple[list[Fraction], Relation, Fraction]] = []
+    shifted: list[tuple[tuple[int | Fraction, ...], Relation, int | Fraction]] = []
     for row in lp.rows:
         if len(row.coeffs) != n:
             raise ValueError("row length does not match num_vars")
-        rhs = row.rhs - sum(c * b for c, b in zip(row.coeffs, lb))
+        rhs = row.rhs
+        if shifts:
+            rhs -= sum(row.coeffs[k] * b for k, b in shifts if row.coeffs[k])
         if not any(row.coeffs):
             if row.relation is Relation.LE:
                 ok = rhs >= 0
@@ -182,7 +200,7 @@ def solve(lp: LinearProgram) -> LpResult:
             if not ok:
                 return LpResult(Status.INFEASIBLE)
             continue
-        shifted.append((list(row.coeffs), row.relation, rhs))
+        shifted.append((row.coeffs, row.relation, rhs))
 
     n_slack = sum(1 for _, rel, _ in shifted if rel is not Relation.EQ)
     # A row can start with its slack basic only if the slack coefficient comes
@@ -205,14 +223,15 @@ def solve(lp: LinearProgram) -> LpResult:
     slack_at = n
     art_at = n + n_slack
     for idx, (coeffs, rel, rhs) in enumerate(shifted):
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        scale, dense = _scaled(coeffs + (rhs,))
+        b = dense.pop()
+        if b < 0:
+            dense = [-a for a in dense]
+            b = -b
             slack_sign = -1 if rel is Relation.LE else 1
         else:
             slack_sign = 1 if rel is Relation.LE else -1
-        scale = _row_scale(coeffs, rhs)
-        dense = [int(c * scale) for c in coeffs] + [0] * (n_slack + n_art)
+        dense += [0] * (n_slack + n_art)
         if rel is not Relation.EQ:
             dense[slack_at] = slack_sign * scale
         if needs_art[idx]:
@@ -225,21 +244,21 @@ def solve(lp: LinearProgram) -> LpResult:
         if rel is not Relation.EQ:
             slack_at += 1
         tab.rows.append(dense)
-        tab.rhs.append(int(rhs * scale))
+        tab.rhs.append(b)
         tab.basis.append(basis_col)
         tab._normalize(len(tab.rows) - 1)
 
     banned: set[int] = set()
 
     if art_cols:
-        cost = [Fraction(0)] * n_cols
+        cost = [0] * n_cols
         for c in art_cols:
-            cost[c] = Fraction(1)
+            cost[c] = 1
         obj = tab.reduced_costs(cost)
         # Bounded below by 0, so never unbounded; once an artificial leaves the
         # basis it is banned from re-entering.
         tab.run_simplex(obj, banned, ban_on_leave=set(art_cols))
-        if any(tab.value(i) != 0 for i in range(len(tab.rows)) if tab.basis[i] in art_cols):
+        if any(tab.rhs[i] for i in range(len(tab.rows)) if tab.basis[i] in art_cols):
             return LpResult(Status.INFEASIBLE)
         _drive_out_artificials(tab, set(art_cols))
         banned |= set(art_cols)
@@ -250,7 +269,7 @@ def solve(lp: LinearProgram) -> LpResult:
 
     coeffs, sense = lp.objective
     sign = 1 if sense is Sense.MIN else -1
-    cost = [sign * Fraction(c) for c in coeffs] + [Fraction(0)] * (n_cols - n)
+    cost = [sign * c for c in _scaled(coeffs)[1]] + [0] * (n_cols - n)
     obj = tab.reduced_costs(cost)
     outcome = tab.run_simplex(obj, banned)
     if outcome == "unbounded":
@@ -258,10 +277,6 @@ def solve(lp: LinearProgram) -> LpResult:
     point = _extract_point(tab, n, lb)
     value = sum(c * x for c, x in zip(coeffs, point))
     return LpResult(Status.OPTIMAL, point=point, objective_value=value)
-
-
-def _row_scale(coeffs: list[Fraction], rhs: Fraction) -> int:
-    return lcm(*(c.denominator for c in coeffs), rhs.denominator)
 
 
 def _drive_out_artificials(tab: _Tableau, art_cols: set[int]) -> None:
@@ -292,22 +307,3 @@ def _extract_point(tab: _Tableau, n: int, lb: tuple[Fraction, ...]) -> tuple[Fra
         if b < n:
             point[b] += tab.value(i)
     return tuple(point)
-
-
-def assert_feasible_point(lp: LinearProgram, point) -> bool:
-    """Exact row-by-row (and lower-bound) verification of a candidate point."""
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != lp.num_vars:
-        raise ValueError("point dimension does not match num_vars")
-    for x, b in zip(point, lp.lower_bounds()):
-        if x < b:
-            return False
-    for row in lp.rows:
-        lhs = sum(c * x for c, x in zip(row.coeffs, point))
-        if row.relation is Relation.LE and not lhs <= row.rhs:
-            return False
-        if row.relation is Relation.GE and not lhs >= row.rhs:
-            return False
-        if row.relation is Relation.EQ and lhs != row.rhs:
-            return False
-    return True

@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     """Render as "p/q", omitting the denominator when it is 1."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -11,12 +11,13 @@ from fractions import Fraction as F
 
 import props
 from golden import TABLES
+from oracles import assert_feasible_point
 from smdc import cli
 from smdc.entropy import (chain_feasibility, entropy_vector, han_check,
                           random_joint_distribution)
 from smdc.fm import fourier_motzkin_region, systems_equivalent
 from smdc.generator import check_bounds, count_ordered, generate_ordered
-from smdc.lp import LinearProgram, Relation, assert_feasible_point
+from smdc.lp import LinearProgram, Relation
 from smdc.region import (RateQuery, check_achievable_inequalities,
                          check_achievable_lp, list_inequalities,
                          redundancy_certificate)

@@ -39,6 +39,12 @@ def test_count_output(capsys):
     assert out == '{"S0": 23, "lower": 16, "upper": 120}\n'
 
 
+def test_count_budget(capsys):
+    code, out, err = run_cli(capsys, "count", "--levels", "1001")
+    assert code == 2 and out == ""
+    assert err == "error: counting limited to L <= 1000\n"
+
+
 def test_check_not_achievable(capsys):
     code, out, _ = run_cli(capsys, "check", "--levels", "2",
                            "--rates", "1,1", "--entropies", "1,1")
@@ -188,6 +194,13 @@ STDOUT_SHA256 = {
         "1689cb26ba8d6281779c7a315c49b9719f15cd18cd1f0ce54c56d51b77d97778",
     "subset-entropy --levels 3 --trials 2 --seed 5":
         "85c06af9f6e4fc259be1e2cdc07c343996b493c255be5318777c3a541c1884bc",
+    "check --levels 8 --rates 3,3,3,3,3,3,3,3 --entropies 1,1/2,1,3/2,1,1/2,1,1/3"
+    " --method lp":
+        "702a070b3db7a20e06bf40cdcf7cc19e19e09e2044575c4e61db0b9c83eb5ee7",
+    "resolution --lambda 3,2,3/2,1,1/2,3,2,3/2,1,1/2,3,2 --alpha 4":
+        "597bc5eb560929749334afd271c4ebe8e0abfe6f0c1213e5e4ed48a1ca332e4c",
+    "verify-equivalence --levels 5 --trials 200 --seed 1":
+        "fd85e623913b7a6bb7344b4b4e646c5cc4d5252d9ce1a7a1636fe6948aeda216",
 }
 
 

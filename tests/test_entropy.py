@@ -33,6 +33,19 @@ def test_entropy_examples():
     assert entropy_vector(tri).values == ev.values  # deterministic rounding
 
 
+def test_entropy_vector_keeps_no_module_state():
+    from smdc import entropy
+
+    def sizes():
+        return {name: len(value) for name, value in vars(entropy).items()
+                if isinstance(value, (dict, list, set))}
+
+    entropy_vector(random_joint_distribution(SplitMix64(1), (2, 2, 2)))
+    before = sizes()
+    entropy_vector(random_joint_distribution(SplitMix64(2), (3, 2, 2)))
+    assert sizes() == before
+
+
 def test_joint_distribution_validation():
     with pytest.raises(ValueError):
         JointDistribution((2,), {(0,): F(1, 2)})  # not normalized

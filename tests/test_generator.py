@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from golden import TABLES
+from oracles import theta_chain_counts_dp
 from smdc.errors import ResourceLimitError
-from smdc.generator import (check_bounds, count_ordered, expand_permutations,
-                            generate_ordered, is_member, iter_ordered,
-                            theta_chain_counts)
+from smdc.generator import (MAX_COUNT_L, check_bounds, count_ordered,
+                            expand_permutations, generate_ordered, is_member,
+                            iter_ordered, theta_chain_counts)
 from smdc.resolution import LambdaVector
 
 
@@ -80,6 +81,20 @@ def test_block_counts_sum_and_recursion():
         counts = theta_chain_counts(L)
         assert sum(counts) == count_ordered(L)
         assert count_ordered(L) == count_ordered(L - 1) + counts[-1]
+
+
+def test_block_counts_match_theta_chain_dp():
+    for L in range(1, 25):
+        assert theta_chain_counts(L) == theta_chain_counts_dp(L)
+
+
+def test_count_budget():
+    lower, count, upper = check_bounds(MAX_COUNT_L)
+    assert lower < count < upper
+    with pytest.raises(ResourceLimitError, match=f"L <= {MAX_COUNT_L}"):
+        check_bounds(MAX_COUNT_L + 1)
+    with pytest.raises(ValueError, match="L must be >= 1"):
+        theta_chain_counts(0)
 
 
 def test_check_bounds_examples():

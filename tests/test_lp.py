@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from smdc.lp import (LinearProgram, Relation, Sense, Status,
-                     assert_feasible_point, solve)
+from oracles import assert_feasible_point
+from smdc import lp as lp_module
+from smdc.lp import LinearProgram, Relation, Sense, Status, solve
 
 
 def test_simple_max():
@@ -77,13 +80,18 @@ def test_lower_bounds_shift():
     assert all(x >= b for x, b in zip(result.point, (F(1, 2), F(2))))
 
 
-def test_degenerate_cycling_regression():
-    # Beale's classic cycling instance; Bland's rule must terminate at -1/20.
+def _beale_lp():
     lp = LinearProgram(4)
     lp.add([F(1, 4), -60, F(-1, 25), 9], Relation.LE, 0)
     lp.add([F(1, 2), -90, F(-1, 50), 3], Relation.LE, 0)
     lp.add([0, 0, 1, 0], Relation.LE, 1)
     lp.set_objective([F(-3, 4), 150, F(-1, 50), 6], Sense.MIN)
+    return lp
+
+
+def test_degenerate_cycling_regression():
+    # Beale's classic cycling instance; Bland's rule must terminate at -1/20.
+    lp = _beale_lp()
     result = solve(lp)
     assert result.status is Status.OPTIMAL
     assert result.objective_value == F(-1, 20)
@@ -156,3 +164,41 @@ def test_certificate_soundness_random():
         result = solve(lp)
         if result.status in (Status.FEASIBLE, Status.OPTIMAL):
             assert assert_feasible_point(lp, result.point)
+
+
+def test_pivot_sequences_unchanged(monkeypatch):
+    """(entering column, leaving row) of every pivot, against sequences kept
+    in pivot_sequences.json from the Fraction reduced-cost simplex."""
+    from smdc.region import RateQuery, compact_allocation_lp, redundancy_certificate
+    from smdc.resolution import optimal_resolution
+    from smdc.rng import SplitMix64, random_boundary_query
+
+    pivots = []
+    original = lp_module._Tableau.pivot
+
+    def recording(self, j, r, obj):
+        pivots.append([j, r])
+        return original(self, j, r, obj)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", recording)
+    recorded = {}
+
+    def record(name, call):
+        pivots.clear()
+        result = call()
+        recorded[name] = list(pivots)
+        return result
+
+    for L in (6, 7):
+        rng = SplitMix64(L)
+        statuses = set()
+        for draw in range(3):
+            lp = compact_allocation_lp(RateQuery(*random_boundary_query(rng, L)))
+            statuses.add(record(f"allocation L={L} draw {draw}", lambda: solve(lp)).status)
+        assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    record("redundancy L=4 index 20", lambda: redundancy_certificate(4, 20, (1,) * 4))
+    lam = [F(x) for x in ("3", "2", "3/2", "1", "1/2")] * 2 + [F(3), F(2)]
+    record("resolution L=12 alpha 4", lambda: optimal_resolution(lam, 4))
+    record("beale", lambda: solve(_beale_lp()))
+    expected = json.loads((Path(__file__).parent / "pivot_sequences.json").read_text())
+    assert recorded == expected

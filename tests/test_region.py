@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from golden import TABLES
+from oracles import assert_feasible_point
 from smdc import region
 from smdc.errors import ResourceLimitError
 from smdc.generator import count_ordered
-from smdc.lp import Status, assert_feasible_point, solve
+from smdc.lp import Status, solve
 from smdc.region import (MAX_LP_LEVELS, Inequality, RateQuery,
                          SuperpositionAllocation, check_achievable_inequalities,
                          check_achievable_lp, compact_allocation_lp,
