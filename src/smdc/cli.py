@@ -23,7 +23,7 @@ from .generator import check_bounds, generate_ordered
 from .ratio import format_rational, parse_rational_list
 from .region import (Inequality, RateQuery, check_achievable_inequalities,
                      check_achievable_lp, check_lp_levels, list_inequalities,
-                     redundancy_certificate)
+                     redundancy_certificate, redundancy_certificates)
 from .resolution import LambdaVector, f_alpha, optimal_resolution, verify_resolution
 from .rng import SplitMix64, random_boundary_query
 
@@ -125,20 +125,22 @@ def _cmd_verify_equivalence(args) -> int:
 def _cmd_redundancy(args) -> int:
     entropies = parse_rational_list(args.entropies) if args.entropies \
         else (Fraction(1),) * args.levels
-    ineqs = list_inequalities(args.levels, ordered_only=False)
-    indexes = [args.index] if args.index is not None else range(len(ineqs))
+    if args.index is None:  # L is checked before the first certificate
+        certificates = enumerate(redundancy_certificates(args.levels, entropies))
+    else:  # and here before the closure is listed
+        certificate = redundancy_certificate(args.levels, args.index, entropies)
+        ineq = list_inequalities(args.levels, ordered_only=False)[args.index]
+        certificates = [(args.index, (ineq, *certificate))]
     failures = 0
-    for i in indexes:
-        essential, witness = redundancy_certificate(args.levels, i, entropies)
-        record = {
+    for i, (ineq, essential, witness) in certificates:
+        _emit({
             "index": i,
-            "lambda": [format_rational(c) for c in ineqs[i].lam],
+            "lambda": [format_rational(c) for c in ineq.lam],
             "essential": essential,
-            "rhs": format_rational(ineqs[i].rhs(entropies)),
-            "lp_optimum": format_rational(ineqs[i].lhs(witness)) if witness else None,
+            "rhs": format_rational(ineq.rhs(entropies)),
+            "lp_optimum": format_rational(ineq.lhs(witness)) if witness else None,
             "witness_rates": [format_rational(r) for r in witness] if witness else None,
-        }
-        _emit(record)
+        })
         failures += not essential
     return 1 if failures else 0
 

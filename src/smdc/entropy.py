@@ -10,12 +10,11 @@ true instance can never be flipped by rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import mpmath
 
 from .errors import ResourceLimitError
 from .lp import LinearProgram, Relation, Status, solve
@@ -30,13 +29,6 @@ MAX_ENTROPY_CELLS = 10 ** 6
 MAX_CHAIN_LEVELS = 4
 
 _WORK_DPS = 50
-
-
-def _log(n: int, cache: dict[int, mpmath.mpf]) -> mpmath.mpf:
-    value = cache.get(n)
-    if value is None:
-        value = cache[n] = mpmath.log(n)
-    return value
 
 
 @dataclass(frozen=True)
@@ -78,26 +70,11 @@ class EntropyVector:
             return Fraction(0)
         return self.values[mask]
 
-    def is_monotone(self, tol: Fraction = COMPARISON_SLACK) -> bool:
-        full = (1 << self.L) - 1
-        for u in range(1, full + 1):
-            for i in range(self.L):
-                v = u | (1 << i)
-                if v != u and self[u] > self[v] + tol:
-                    return False
-        return True
-
-    def is_submodular(self, tol: Fraction = COMPARISON_SLACK) -> bool:
-        full = (1 << self.L) - 1
-        for u in range(1, full + 1):
-            for v in range(u + 1, full + 1):
-                if self[u] + self[v] + tol < self[u | v] + self[u & v]:
-                    return False
-        return True
-
 
 def entropy_vector(jd: JointDistribution) -> EntropyVector:
     """All marginal joint entropies of a distribution, deterministically rounded."""
+    import mpmath  # here, so that only entropy computations load it
+
     L = jd.L
     if L > MAX_ENTROPY_LEVELS:
         raise ResourceLimitError(f"entropy vectors limited to L <= {MAX_ENTROPY_LEVELS}")
@@ -108,9 +85,9 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
         raise ResourceLimitError("alphabet product exceeds the cell budget")
 
     values: dict[int, Fraction] = {}
-    logs: dict[int, mpmath.mpf] = {}
     with mpmath.workdps(_WORK_DPS):
-        log2 = _log(2, logs)
+        log = functools.cache(mpmath.log)  # per call, at this precision
+        log2 = log(2)
         for mask in range(1, 1 << L):
             coords = [i for i in range(L) if mask >> i & 1]
             marginal: dict[tuple[int, ...], Fraction] = {}
@@ -121,8 +98,7 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
             acc = mpmath.mpf(0)
             for p in marginal.values():
                 if p != 1:
-                    acc -= p.numerator * (_log(p.numerator, logs)
-                                          - _log(p.denominator, logs)) / p.denominator
+                    acc -= p.numerator * (log(p.numerator) - log(p.denominator)) / p.denominator
             bits = acc / log2
             scaled = mpmath.nint(bits * (1 << ENTROPY_DENOM_BITS))
             values[mask] = Fraction(int(scaled), 1 << ENTROPY_DENOM_BITS)
@@ -205,14 +181,6 @@ def chain_feasibility(lam, ev: EntropyVector,
                    if result.point[offsets[a] + j]}
         resolutions.append(Resolution(L, a, weights))
     return True, resolutions
-
-
-def uniform_resolution(L: int, alpha: int) -> Resolution:
-    """Weight 1/C(L-1, alpha-1) on every weight-alpha mask: the unique optimal
-    resolution for the all-ones vector, and the Han's-inequality witness."""
-    w = Fraction(1, comb(L - 1, alpha - 1))
-    masks = [m for m in range(1, 1 << L) if bin(m).count("1") == alpha]
-    return Resolution(L, alpha, {m: w for m in masks})
 
 
 def random_joint_distribution(rng: SplitMix64, alphabet_sizes,

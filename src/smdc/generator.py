@@ -129,7 +129,3 @@ def check_bounds(L: int) -> tuple[int, int, int]:
         raise AssertionError(f"strict count bound violated at L={L}")
     return lower, count, upper
 
-
-def is_member(lam) -> bool:
-    """Membership in the permutation-closed coefficient set."""
-    return LambdaVector.coerce(lam).theta_seq is not None

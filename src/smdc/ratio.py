@@ -29,6 +29,3 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"empty rational list: {text!r}")
     return tuple(parse_rational(part) for part in items)
 
-
-def format_rational_list(values) -> list[str]:
-    return [format_rational(v) for v in values]

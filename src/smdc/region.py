@@ -10,16 +10,16 @@ ordered inequalities against the ascending-sorted rates (the rearrangement
 pairing makes those sufficient), and by exact LP feasibility of the underlying
 per-level allocation.  That allocation LP has O(L^2) rows: "the a smallest
 entries of column a sum to at least H_a" is linearized with one threshold and
-L excess variables per level (Ogryczak & Tamir 2003).  The LP with one row per
-encoder subset, 2^L - 1 in all, is kept as an independent test oracle.
+L excess variables per level (Ogryczak & Tamir 2003).  Non-redundancy is
+certified by cutting planes over the ordered rows; every witness is checked.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -30,6 +30,7 @@ from .resolution import LambdaVector, f_vector
 
 MAX_LP_LEVELS = 12
 MAX_REMEMBERED_L = 10
+MAX_REDUNDANCY_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -204,27 +205,6 @@ def check_lp_levels(L: int) -> None:
         raise ResourceLimitError(f"feasibility LP limited to L <= {MAX_LP_LEVELS}")
 
 
-def superposition_feasibility_lp(query: RateQuery) -> LinearProgram:
-    """The allocation-existence LP with one row per encoder subset; variables
-    r[l][a] flattened row-major.  Exponential in L: kept as a test oracle."""
-    L = query.L
-    check_lp_levels(L)
-    lp = LinearProgram(L * L)
-    zero = [Fraction(0)] * (L * L)
-    for l in range(L):
-        row = zero.copy()
-        for a in range(L):
-            row[l * L + a] = Fraction(1)
-        lp.add(row, Relation.EQ, query.rates[l])
-    for a in range(1, L + 1):
-        for subset in itertools.combinations(range(L), a):
-            row = zero.copy()
-            for l in subset:
-                row[l * L + (a - 1)] = Fraction(1)
-            lp.add(row, Relation.GE, query.entropies[a - 1])
-    return lp
-
-
 def compact_allocation_lp(query: RateQuery) -> LinearProgram:
     """The allocation-existence LP in O(L^2) rows.
 
@@ -282,28 +262,93 @@ def check_achievable_lp(query: RateQuery) -> MembershipVerdict:
     return MembershipVerdict(True, "lp", witness_allocation=allocation)
 
 
-def redundancy_certificate(L: int, index: int, entropies) -> tuple[bool, tuple[Fraction, ...] | None]:
+def _most_violated(rows, rhs, own, orbit, excluded, rates) -> list:
+    """(lambda, rhs) of each orbit's most violated closure row but `excluded`:
+    descending lambda against ascending rates is an orbit's minimum, as in the
+    inequality method, and the orbit `own` of `excluded` is scanned in full."""
+    ascending = sorted(range(len(rates)), key=lambda i: (rates[i], i))
+    rank = sorted(range(len(rates)), key=ascending.__getitem__)
+    cuts = []
+    for k, row in enumerate(rows):
+        lams = [lam for lam in orbit if lam != excluded] if k == own \
+            else [tuple(row.lam[r] for r in rank)]
+        value, lam = min(((sum(map(mul, lam, rates)), lam) for lam in lams),
+                         default=(rhs[k], None))
+        if value < rhs[k]:
+            cuts.append((lam, rhs[k]))
+    return cuts
+
+
+def _certify_ordered(rows, rhs, own, orbit) -> tuple[bool, tuple[Fraction, ...]]:
+    """Minimize the ordered row `own` over R >= 0 and every other closure row
+    by cutting planes (Kelley 1960): each round adds the most violated row of
+    every orbit to an LP with L columns, until the closing pass finds none.
+
+    A positive R_i of a vertex of {R >= 0 : C R >= b}, C >= 0, is at most
+    b_c / C_ci for some row c, and nonzero C_ci are at least 1 here, so the
+    box R <= top = max b holds an optimal vertex of every round.  In
+    x = top - R every row has a nonnegative right side: no phase 1.
+    """
+    rep, top, L = rows[own].lam.components, max(rhs), len(rows[own].lam)
+    lp = LinearProgram(L)
+    lp.set_objective(rep, Sense.MAX)
+    for i in range(L):
+        lp.add([int(k == i) for k in range(L)], Relation.LE, top)
+    rates = (Fraction(0),) * L  # the optimum with no cuts
+    while cuts := _most_violated(rows, rhs, own, orbit, rep, rates):
+        for lam, b in cuts:
+            lp.add(lam, Relation.LE, top * sum(lam) - b)
+        rates = tuple(top - x for x in solve(lp).point)  # a box: always optimal
+    return sum(map(mul, rep, rates)) < rhs[own], rates
+
+
+def _orbits(L: int, entropies):
+    """Ordered rows, their right sides and each row's orbit in closure order."""
+    if L > MAX_REDUNDANCY_LEVELS:  # before any work
+        raise ResourceLimitError(f"redundancy certificates limited to L <= {MAX_REDUNDANCY_LEVELS}")
+    entropies = tuple(Fraction(h) for h in entropies)
+    if len(entropies) != L or any(h <= 0 for h in entropies):
+        raise ValueError("entropies must be strictly positive and of length L")
+    rows = list(ordered_inequalities(L))
+    return rows, [row.rhs(entropies) for row in rows], \
+        [[lv.components for lv in expand_permutations((row.lam,))] for row in rows]
+
+
+def _unsorted(rates, lam: LambdaVector) -> tuple[Fraction, ...]:
+    """Rates for lam from rates for its sorted_desc."""
+    return tuple(rates[lam.order.index(i)] for i in range(len(rates)))
+
+
+def redundancy_certificate(L: int, index: int, entropies
+                           ) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Essentiality certificate for one inequality of the full closure.
 
     Minimizes the indexed inequality's left side subject to all the others
     (rates nonnegative).  An optimum strictly below the indexed right side
-    proves the inequality is not implied; the minimizer is the witness.
+    proves the inequality is not implied; the minimizer is the witness.  It
+    is found for the ordered representative (f depends only on the sorted
+    lambda), permuted back and re-checked against every other closure row.
     """
-    if L > 5:
-        raise ResourceLimitError("redundancy certificates limited to L <= 5")
-    entropies = tuple(Fraction(h) for h in entropies)
-    if len(entropies) != L or any(h <= 0 for h in entropies):
-        raise ValueError("entropies must be strictly positive and of length L")
-    ineqs = list_inequalities(L, ordered_only=False)
-    if not 0 <= index < len(ineqs):
-        raise ValueError(f"index must be in 0..{len(ineqs) - 1}")
-    target = ineqs[index]
-    lp = LinearProgram(L)
-    for i, ineq in enumerate(ineqs):
-        if i != index:
-            lp.add(tuple(ineq.lam), Relation.GE, ineq.rhs(entropies))
-    lp.set_objective(tuple(target.lam), Sense.MIN)
-    result = solve(lp)
-    assert result.status is Status.OPTIMAL  # coefficients nonnegative, so bounded
-    essential = result.objective_value < target.rhs(entropies)
-    return (essential, result.point if essential else None)
+    rows, rhs, orbits = _orbits(L, entropies)
+    owners = [k for k, orbit in enumerate(orbits) for _ in orbit]
+    if not 0 <= index < len(owners):
+        raise ValueError(f"index must be in 0..{len(owners) - 1}")
+    own = owners[index]
+    target = orbits[own][index - owners.index(own)]
+    essential, rates = _certify_ordered(rows, rhs, own, orbits[own])
+    witness = _unsorted(rates, LambdaVector(target)) if essential else None
+    if essential and _most_violated(rows, rhs, own, orbits[own], target, witness):
+        raise RuntimeError("redundancy witness violates another closure row")
+    return essential, witness
+
+
+def redundancy_certificates(L: int, entropies) -> Iterator[tuple[Inequality, bool, tuple | None]]:
+    """(inequality, essential, witness) for every closure row in index order:
+    each ordered representative is certified once, the closing pass of its
+    loop having checked every other closure row, and its witness permuted."""
+    rows, rhs, orbits = _orbits(L, entropies)
+    for own, (row, orbit) in enumerate(zip(rows, orbits)):
+        essential, rates = _certify_ordered(rows, rhs, own, orbit)
+        for lv in map(LambdaVector, orbit):
+            witness = _unsorted(rates, lv) if essential else None
+            yield Inequality(lv, row.f_values), essential, witness

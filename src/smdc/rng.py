@@ -49,21 +49,6 @@ def random_fraction(rng: SplitMix64, allow_zero: bool = True) -> Fraction:
     return Fraction(num, rng.choice(_DENOMINATORS))
 
 
-def random_lambda(rng: SplitMix64, length: int) -> tuple[Fraction, ...]:
-    """Nonnegative grid rationals, not all zero."""
-    while True:
-        comps = tuple(random_fraction(rng) for _ in range(length))
-        if any(comps):
-            return comps
-
-
-def random_normalized_lambda(rng: SplitMix64, length: int) -> tuple[Fraction, ...]:
-    """As random_lambda, then scaled so the minimum nonzero component is 1."""
-    comps = random_lambda(rng, length)
-    scale = min(c for c in comps if c)
-    return tuple(c / scale for c in comps)
-
-
 def random_positive_entropies(rng: SplitMix64, length: int) -> tuple[Fraction, ...]:
     return tuple(random_fraction(rng, allow_zero=False) for _ in range(length))
 

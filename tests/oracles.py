@@ -1,8 +1,15 @@
 """Reference implementations that only tests call."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
-from smdc.lp import Relation
+from smdc.entropy import COMPARISON_SLACK
+from smdc.lp import LinearProgram, Relation, Sense
+from smdc.ratio import format_rational
+from smdc.region import list_inequalities
+from smdc.resolution import LambdaVector, Resolution
+from smdc.rng import random_fraction
 
 
 def assert_feasible_point(lp, point) -> bool:
@@ -41,3 +48,87 @@ def theta_chain_counts_dp(L: int) -> list[int]:
         states = nxt
         counts.append(sum(states.values()))
     return counts
+
+
+def closure_redundancy_lp(L: int, index: int, entropies) -> LinearProgram:
+    """Minimize one closure row over R >= 0 and every other closure row: an
+    optimum below its right side proves that row essential.  One row per
+    closure member, so it is kept for small L only."""
+    ineqs = list_inequalities(L, ordered_only=False)
+    lp = LinearProgram(L)
+    for i, ineq in enumerate(ineqs):
+        if i != index:
+            lp.add(tuple(ineq.lam), Relation.GE, ineq.rhs(entropies))
+    lp.set_objective(tuple(ineqs[index].lam), Sense.MIN)
+    return lp
+
+
+def superposition_feasibility_lp(query) -> LinearProgram:
+    """The allocation-existence LP with one row per encoder subset; variables
+    r[l][a] flattened row-major.  Exponential in L."""
+    L = query.L
+    lp = LinearProgram(L * L)
+    zero = [Fraction(0)] * (L * L)
+    for l in range(L):
+        row = zero.copy()
+        for a in range(L):
+            row[l * L + a] = Fraction(1)
+        lp.add(row, Relation.EQ, query.rates[l])
+    for a in range(1, L + 1):
+        for subset in itertools.combinations(range(L), a):
+            row = zero.copy()
+            for l in subset:
+                row[l * L + (a - 1)] = Fraction(1)
+            lp.add(row, Relation.GE, query.entropies[a - 1])
+    return lp
+
+
+def is_monotone(ev, tol: Fraction = COMPARISON_SLACK) -> bool:
+    full = (1 << ev.L) - 1
+    for u in range(1, full + 1):
+        for i in range(ev.L):
+            v = u | (1 << i)
+            if v != u and ev[u] > ev[v] + tol:
+                return False
+    return True
+
+
+def is_submodular(ev, tol: Fraction = COMPARISON_SLACK) -> bool:
+    full = (1 << ev.L) - 1
+    for u in range(1, full + 1):
+        for v in range(u + 1, full + 1):
+            if ev[u] + ev[v] + tol < ev[u | v] + ev[u & v]:
+                return False
+    return True
+
+
+def uniform_resolution(L: int, alpha: int) -> Resolution:
+    """Weight 1/C(L-1, alpha-1) on every weight-alpha mask: the unique optimal
+    resolution for the all-ones vector, and the Han's-inequality witness."""
+    w = Fraction(1, comb(L - 1, alpha - 1))
+    masks = [m for m in range(1, 1 << L) if bin(m).count("1") == alpha]
+    return Resolution(L, alpha, {m: w for m in masks})
+
+
+def random_lambda(rng, length: int) -> tuple[Fraction, ...]:
+    """Nonnegative grid rationals, not all zero."""
+    while True:
+        comps = tuple(random_fraction(rng) for _ in range(length))
+        if any(comps):
+            return comps
+
+
+def random_normalized_lambda(rng, length: int) -> tuple[Fraction, ...]:
+    """As random_lambda, then scaled so the minimum nonzero component is 1."""
+    comps = random_lambda(rng, length)
+    scale = min(c for c in comps if c)
+    return tuple(c / scale for c in comps)
+
+
+def is_member(lam) -> bool:
+    """Membership in the permutation-closed coefficient set."""
+    return LambdaVector.coerce(lam).theta_seq is not None
+
+
+def format_rational_list(values) -> list[str]:
+    return [format_rational(v) for v in values]

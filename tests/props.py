@@ -10,8 +10,8 @@ from smdc.region import (RateQuery, check_achievable_inequalities,
 from smdc.resolution import (LambdaVector, beta_star, f_alpha,
                              f_alpha_bruteforce, f_vector, g_value,
                              optimal_resolution, verify_resolution)
-from smdc.rng import (SplitMix64, random_boundary_query, random_fraction,
-                      random_lambda, random_normalized_lambda)
+from oracles import random_lambda, random_normalized_lambda
+from smdc.rng import SplitMix64, random_boundary_query, random_fraction
 
 
 def _shuffled(rng, items):

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import props
 from golden import TABLES
-from oracles import assert_feasible_point
+from oracles import (assert_feasible_point, is_monotone, is_submodular,
+                     random_normalized_lambda)
 from smdc import cli
 from smdc.entropy import (chain_feasibility, entropy_vector, han_check,
                           random_joint_distribution)
@@ -22,7 +23,7 @@ from smdc.region import (RateQuery, check_achievable_inequalities,
                          check_achievable_lp, list_inequalities,
                          redundancy_certificate)
 from smdc.resolution import f_alpha, f_alpha_bruteforce, f_vector, verify_resolution
-from smdc.rng import SplitMix64, random_boundary_query, random_normalized_lambda
+from smdc.rng import SplitMix64, random_boundary_query
 
 
 def criterion(number, description):
@@ -154,7 +155,7 @@ def test_criterion_7_subset_entropy():
         rng = SplitMix64(700 + L)
         for _ in range(200):
             ev = entropy_vector(random_joint_distribution(rng, (2,) * L))
-            assert ev.is_monotone() and ev.is_submodular()
+            assert is_monotone(ev) and is_submodular(ev)
             assert han_check(ev)
         members = generate_ordered(L)
         f_by_member = {tuple(m): f_vector(m).values for m in members}

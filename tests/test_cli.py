@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from golden import TABLES
-from smdc import cli
+import smdc
+from smdc import cli, region
 from smdc.ratio import format_rational
 from smdc.resolution import f_vector
 
@@ -168,6 +173,37 @@ def test_subset_entropy_budget_before_trials(capsys):
     assert err == "error: chain feasibility limited to L <= 4\n"
 
 
+def test_redundancy_budget_before_closure(capsys, monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("rows listed before the redundancy budget check")
+
+    monkeypatch.setattr(cli, "list_inequalities", listing)
+    monkeypatch.setattr(region, "ordered_inequalities", listing)
+    for index in ((), ("--index", "0")):
+        code, out, err = run_cli(capsys, "redundancy", "--levels", "7", *index)
+        assert code == 2 and out == ""
+        assert err == "error: redundancy certificates limited to L <= 6\n"
+
+
+def test_redundancy_fields_besides_witness_pinned(capsys):
+    # The LP optimum is unique but its minimizer need not be, so only
+    # witness_rates may change with the certificate method; index, lambda,
+    # essential, rhs and lp_optimum are pinned here.
+    code, out, _ = run_cli(capsys, "redundancy", "--levels", "3")
+    records = [json.loads(line) for line in out.splitlines()]
+    for record in records:
+        del record["witness_rates"]
+    assert code == 0 and len(records) == 10
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
+        "3e214096fe0dc7ebc2e6d2a182cc5bd166c4bb719170ba623d95338cb80d7601"
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(smdc.__file__).parents[1]))
+    probe = "import sys, smdc.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 def test_gen_bad_levels_every_time(capsys):
     for _ in range(2):
         code, out, err = run_cli(capsys, "gen", "--levels", "0")
@@ -189,7 +225,7 @@ STDOUT_SHA256 = {
     " --method ineq":
         "bfc2a59bd3e3126cb1b8c6809134ab1b8398c4ae5d3b6f1cdac03e5ae68910bc",
     "redundancy --levels 3":
-        "32b23a9cfe916b9af2b000adfff18a6a28b004e1c9cb607cbe355b4f2b925013",
+        "4c5c1e79253d9ba1d160a620f9dc08447903f06603abd13887c9b9fd891bc8a8",
     "fm-compare --levels 3":
         "1689cb26ba8d6281779c7a315c49b9719f15cd18cd1f0ce54c56d51b77d97778",
     "subset-entropy --levels 3 --trials 2 --seed 5":

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from golden import TABLES
-from oracles import theta_chain_counts_dp
+from oracles import is_member, theta_chain_counts_dp
 from smdc.errors import ResourceLimitError
 from smdc.generator import (MAX_COUNT_L, check_bounds, count_ordered,
-                            expand_permutations, generate_ordered, is_member,
-                            iter_ordered, theta_chain_counts)
+                            expand_permutations, generate_ordered, iter_ordered,
+                            theta_chain_counts)
 from smdc.resolution import LambdaVector
 
 

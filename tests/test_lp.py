@@ -169,7 +169,8 @@ def test_certificate_soundness_random():
 def test_pivot_sequences_unchanged(monkeypatch):
     """(entering column, leaving row) of every pivot, against sequences kept
     in pivot_sequences.json from the Fraction reduced-cost simplex."""
-    from smdc.region import RateQuery, compact_allocation_lp, redundancy_certificate
+    from oracles import closure_redundancy_lp
+    from smdc.region import RateQuery, compact_allocation_lp
     from smdc.resolution import optimal_resolution
     from smdc.rng import SplitMix64, random_boundary_query
 
@@ -196,7 +197,7 @@ def test_pivot_sequences_unchanged(monkeypatch):
             lp = compact_allocation_lp(RateQuery(*random_boundary_query(rng, L)))
             statuses.add(record(f"allocation L={L} draw {draw}", lambda: solve(lp)).status)
         assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
-    record("redundancy L=4 index 20", lambda: redundancy_certificate(4, 20, (1,) * 4))
+    record("redundancy L=4 index 20", lambda: solve(closure_redundancy_lp(4, 20, (1,) * 4)))
     lam = [F(x) for x in ("3", "2", "3/2", "1", "1/2")] * 2 + [F(3), F(2)]
     record("resolution L=12 alpha 4", lambda: optimal_resolution(lam, 4))
     record("beale", lambda: solve(_beale_lp()))

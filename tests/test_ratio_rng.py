@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from smdc.ratio import (format_rational, format_rational_list, parse_rational,
-                        parse_rational_list)
-from smdc.rng import SplitMix64, random_normalized_lambda, random_pmf
+from oracles import format_rational_list, random_normalized_lambda
+from smdc.ratio import format_rational, parse_rational, parse_rational_list
+from smdc.rng import SplitMix64, random_pmf
 
 
 def test_format_rational():

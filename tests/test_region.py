@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from golden import TABLES
-from oracles import assert_feasible_point
+from oracles import (assert_feasible_point, closure_redundancy_lp,
+                     superposition_feasibility_lp)
 from smdc import region
 from smdc.errors import ResourceLimitError
 from smdc.generator import count_ordered
@@ -14,8 +15,9 @@ from smdc.region import (MAX_LP_LEVELS, Inequality, RateQuery,
                          SuperpositionAllocation, check_achievable_inequalities,
                          check_achievable_lp, compact_allocation_lp,
                          list_inequalities, redundancy_certificate,
-                         superposition_feasibility_lp)
-from smdc.rng import SplitMix64, random_boundary_query, random_fraction
+                         redundancy_certificates)
+from smdc.rng import (SplitMix64, random_boundary_query, random_fraction,
+                      random_positive_entropies)
 
 
 def test_rate_query_validation():
@@ -198,6 +200,69 @@ def test_redundancy_rejects_bad_entropies():
         redundancy_certificate(2, 0, (1, 0))
     with pytest.raises(ValueError):
         redundancy_certificate(2, 99, (1, 1))
+
+
+def satisfies_all_but(closure, index, witness, entropies) -> bool:
+    """The witness violates closure row `index` and no other."""
+    return all((ineq.lhs(witness) >= ineq.rhs(entropies)) == (k != index)
+               for k, ineq in enumerate(closure))
+
+
+def test_redundancy_matches_closure_lp():
+    # the cutting-plane optimum is the optimum of the LP over the whole closure
+    rng = SplitMix64(91)
+    cases = [(L, (F(1),) * L) for L in (1, 2, 3, 4)]
+    cases += [(L, random_positive_entropies(rng, L)) for L in (2, 3) for _ in range(3)]
+    for L, entropies in cases:
+        closure = list_inequalities(L, ordered_only=False)
+        for index, target in enumerate(closure):
+            oracle = closure_redundancy_lp(L, index, entropies)
+            optimum = solve(oracle).objective_value
+            essential, witness = redundancy_certificate(L, index, entropies)
+            assert essential and optimum < target.rhs(entropies), (L, index)
+            assert target.lhs(witness) == optimum and assert_feasible_point(oracle, witness)
+
+
+def test_certificates_permute_each_witness_along_its_orbit():
+    for L in (3, 4):
+        ones = (F(1),) * L
+        closure = list_inequalities(L, ordered_only=False)
+        records = list(redundancy_certificates(L, ones))
+        assert [ineq for ineq, _, _ in records] == closure
+        for index, (_, essential, witness) in enumerate(records):
+            assert essential and satisfies_all_but(closure, index, witness, ones)
+
+
+def test_separation_scans_the_target_orbit():
+    # (1, 2, 5/2) meets every L=3 row but (2, 1, 1); certifying (1, 1, 2), the
+    # only cut is that other member of the target's own orbit
+    rows, rhs, orbits = region._orbits(3, (1, 1, 1))
+    own = len(rows) - 1
+    assert rows[own].lam.components == (2, 1, 1)
+    cuts = region._most_violated(rows, rhs, own, orbits[own], (1, 1, 2), (1, 2, F(5, 2)))
+    assert cuts == [((2, 1, 1), 7)]
+
+
+def test_level5_representatives_against_closure():
+    ones = (F(1),) * 5
+    closure = list_inequalities(5, ordered_only=False)
+    representatives = [i for i, ineq in enumerate(closure)
+                       if ineq.lam.components == ineq.lam.sorted_desc]
+    assert len(closure) == 446 and len(representatives) == 23
+    for index in representatives:
+        essential, witness = redundancy_certificate(5, index, ones)
+        assert essential and satisfies_all_but(closure, index, witness, ones), index
+
+
+def test_level6_representatives_essential():
+    ones = (F(1),) * 6
+    closure = list_inequalities(6, ordered_only=False)
+    for lam in ((1,) * 6, (16, 8, 4, 2, 1, 1)):
+        index = next(i for i, ineq in enumerate(closure) if ineq.lam.components == lam)
+        essential, witness = redundancy_certificate(6, index, ones)
+        assert essential and satisfies_all_but(closure, index, witness, ones), lam
+    with pytest.raises(ResourceLimitError):
+        redundancy_certificate(7, 0, (1,) * 7)
 
 
 def test_methods_agree_on_fixed_grid():
