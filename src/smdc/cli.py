@@ -127,10 +127,8 @@ def _cmd_redundancy(args) -> int:
         else (Fraction(1),) * args.levels
     if args.index is None:  # L is checked before the first certificate
         certificates = enumerate(redundancy_certificates(args.levels, entropies))
-    else:  # and here before the closure is listed
-        certificate = redundancy_certificate(args.levels, args.index, entropies)
-        ineq = list_inequalities(args.levels, ordered_only=False)[args.index]
-        certificates = [(args.index, (ineq, *certificate))]
+    else:
+        certificates = [(args.index, redundancy_certificate(args.levels, args.index, entropies))]
     failures = 0
     for i, (ineq, essential, witness) in certificates:
         _emit({

@@ -13,7 +13,8 @@ dedup, the Imbert/Chernikov ancestor-count cutoff, and pairwise domination
 pruning (sound here because the projection is only ever used over the
 nonnegative orthant and the allocation variables keep their nonnegativity
 rows until eliminated).  The final projected system is made irredundant by
-exact LP, one implication test per row.
+exact LP, one implication test per orbit of rows under permuted rates: the
+irredundant rows are the cone's facet rows, which such permutations preserve.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import ge
 
 from .errors import ResourceLimitError
 from .lp import LinearProgram, Relation, Status, solve
@@ -126,7 +128,7 @@ def _dominate(work: dict[tuple[int, ...], frozenset[int]],
     for row, hist in items:
         protected = sum(row) == 1 and row.count(1) == 1 and \
             any(row[c] == 1 for c in protected_cols)
-        if not protected and any(all(b >= a for b, a in zip(row, other)) for other, _ in kept):
+        if not protected and any(all(map(ge, row, other)) for other, _ in kept):
             continue
         kept.append((row, hist))
         out[row] = hist
@@ -145,18 +147,28 @@ def _implied_homogeneous(target: tuple[int, ...], others: list[tuple[int, ...]])
         return all(c >= 0 for c in target)
     lp = LinearProgram(len(others))
     for k in range(len(target)):
-        lp.add([Fraction(row[k]) for row in others], Relation.LE, target[k])
+        lp.add([row[k] for row in others], Relation.LE, target[k])
     return solve(lp).status is Status.FEASIBLE
 
 
 def _minimize_system(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy irredundant subsystem via one exact LP implication test per row."""
-    kept = sorted(set(rows))
+    """Irredundant subsystem, one exact LP implication test per orbit.
+
+    The projected cone over (R, H) >= 0 is full-dimensional, so its facet rows
+    are unique up to scaling (Ziegler 1995, ch. 2); the rows are primitive and
+    deduplicated, so a kept row is implied by the rest and x >= 0 exactly when
+    it is no facet row or a unit row, in any removal order.  Permuting the
+    encoders maps the allocation system, hence its facets, to itself: one row
+    decides its whole orbit under permutations of R (H unchanged)."""
+    L = len(rows[0]) // 2
+    orbits: dict[tuple, list[tuple[int, ...]]] = {}
     for row in sorted(set(rows)):
-        others = [r for r in kept if r != row]
-        if _implied_homogeneous(row, others):
-            kept = others
-    return kept
+        orbits.setdefault((tuple(sorted(row[:L], reverse=True)), row[L:]), []).append(row)
+    kept = set(rows)
+    for orbit in orbits.values():
+        if _implied_homogeneous(orbit[0], sorted(kept - {orbit[0]})):
+            kept.difference_update(orbit)
+    return sorted(kept)
 
 
 def _row_to_inequality(row: tuple[int, ...], L: int) -> Inequality:
@@ -195,8 +207,8 @@ def inequality_to_row(ineq: Inequality) -> tuple[int, ...]:
 
 
 def systems_equivalent(a: list[Inequality], b: list[Inequality]) -> bool:
-    """Mutual implication of every row over the nonnegative (R, H) cone."""
+    """Mutual implication over the nonnegative (R, H) cone; shared rows need no LP."""
     rows_a = [inequality_to_row(i) for i in a]
     rows_b = [inequality_to_row(i) for i in b]
-    return (all(_implied_homogeneous(r, rows_b) for r in rows_a)
-            and all(_implied_homogeneous(r, rows_a) for r in rows_b))
+    return (all(_implied_homogeneous(r, rows_b) for r in set(rows_a).difference(rows_b))
+            and all(_implied_homogeneous(r, rows_a) for r in set(rows_b).difference(rows_a)))

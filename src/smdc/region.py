@@ -320,8 +320,8 @@ def _unsorted(rates, lam: LambdaVector) -> tuple[Fraction, ...]:
 
 
 def redundancy_certificate(L: int, index: int, entropies
-                           ) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Essentiality certificate for one inequality of the full closure.
+                           ) -> tuple[Inequality, bool, tuple[Fraction, ...] | None]:
+    """(inequality, essential, witness) for one row of the full closure.
 
     Minimizes the indexed inequality's left side subject to all the others
     (rates nonnegative).  An optimum strictly below the indexed right side
@@ -334,12 +334,12 @@ def redundancy_certificate(L: int, index: int, entropies
     if not 0 <= index < len(owners):
         raise ValueError(f"index must be in 0..{len(owners) - 1}")
     own = owners[index]
-    target = orbits[own][index - owners.index(own)]
+    target = LambdaVector(orbits[own][index - owners.index(own)])
     essential, rates = _certify_ordered(rows, rhs, own, orbits[own])
-    witness = _unsorted(rates, LambdaVector(target)) if essential else None
-    if essential and _most_violated(rows, rhs, own, orbits[own], target, witness):
+    witness = _unsorted(rates, target) if essential else None
+    if essential and _most_violated(rows, rhs, own, orbits[own], target.components, witness):
         raise RuntimeError("redundancy witness violates another closure row")
-    return essential, witness
+    return Inequality(target, rows[own].f_values), essential, witness
 
 
 def redundancy_certificates(L: int, entropies) -> Iterator[tuple[Inequality, bool, tuple | None]]:

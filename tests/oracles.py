@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 from smdc.entropy import COMPARISON_SLACK
+from smdc.fm import _implied_homogeneous
 from smdc.lp import LinearProgram, Relation, Sense
 from smdc.ratio import format_rational
 from smdc.region import list_inequalities
@@ -61,6 +62,16 @@ def closure_redundancy_lp(L: int, index: int, entropies) -> LinearProgram:
             lp.add(tuple(ineq.lam), Relation.GE, ineq.rhs(entropies))
     lp.set_objective(tuple(ineqs[index].lam), Sense.MIN)
     return lp
+
+
+def greedy_minimize_system(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Greedy irredundant subsystem via one exact LP implication test per row."""
+    kept = sorted(set(rows))
+    for row in sorted(set(rows)):
+        others = [r for r in kept if r != row]
+        if _implied_homogeneous(row, others):
+            kept = others
+    return kept
 
 
 def superposition_feasibility_lp(query) -> LinearProgram:

@@ -121,7 +121,7 @@ def test_criterion_5_redundancy():
         if L == 3:
             assert len(ineqs) == 10
         for index, target in enumerate(ineqs):
-            essential, witness = redundancy_certificate(L, index, ones)
+            _, essential, witness = redundancy_certificate(L, index, ones)
             assert essential, (L, index)
             others = LinearProgram(L)
             for k, ineq in enumerate(ineqs):

@@ -185,6 +185,17 @@ def test_redundancy_budget_before_closure(capsys, monkeypatch):
         assert err == "error: redundancy certificates limited to L <= 6\n"
 
 
+def test_redundancy_index_without_closure_listing(capsys, monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("closure listed for a single certificate")
+
+    monkeypatch.setattr(cli, "list_inequalities", listing)
+    code, out, _ = run_cli(capsys, "redundancy", "--levels", "4", "--index", "20")
+    assert code == 0
+    assert out == ('{"index": 20, "lambda": ["1", "1", "2", "0"], "essential": true,'
+                   ' "rhs": "7", "lp_optimum": "13/2", "witness_rates": ["2", "5/2", "1", "15"]}\n')
+
+
 def test_redundancy_fields_besides_witness_pinned(capsys):
     # The LP optimum is unique but its minimizer need not be, so only
     # witness_rates may change with the certificate method; index, lambda,
@@ -228,6 +239,8 @@ STDOUT_SHA256 = {
         "4c5c1e79253d9ba1d160a620f9dc08447903f06603abd13887c9b9fd891bc8a8",
     "fm-compare --levels 3":
         "1689cb26ba8d6281779c7a315c49b9719f15cd18cd1f0ce54c56d51b77d97778",
+    "fm-compare --levels 4":
+        "70537876a643f625c9cc14e3c8a70e1119deb3dfb52abde26657dbad14ff11b1",
     "subset-entropy --levels 3 --trials 2 --seed 5":
         "85c06af9f6e4fc259be1e2cdc07c343996b493c255be5318777c3a541c1884bc",
     "check --levels 8 --rates 3,3,3,3,3,3,3,3 --entropies 1,1/2,1,3/2,1,1/2,1,1/3"

@@ -1,11 +1,17 @@
+import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import greedy_minimize_system
+from smdc import cli, fm
 from smdc.errors import ResourceLimitError
 from smdc.fm import (fourier_motzkin_region, inequality_to_row,
                      systems_equivalent)
+from smdc.lp import solve
 from smdc.region import Inequality, list_inequalities
+from smdc.resolution import LambdaVector
 
 
 def test_level1_single_row():
@@ -47,3 +53,60 @@ def test_equivalence_is_sensitive():
 def test_inequality_row_encoding():
     ineq = next(i for i in list_inequalities(3) if tuple(i.lam) == (1, 1, 1))
     assert inequality_to_row(ineq) == (2, 2, 2, -6, -3, -2)
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(fm, "solve", counting)
+    return calls
+
+
+def test_orbit_minimization_matches_greedy_oracle():
+    for L in range(1, 5):
+        rows = fm._project_allocation_system(L)
+        assert fm._minimize_system(rows) == greedy_minimize_system(rows), L
+
+
+def test_projection_closed_under_rate_permutations():
+    for L in range(1, 5):
+        rows = {inequality_to_row(i) for i in fourier_motzkin_region(L)}
+        for row in rows:
+            for perm in itertools.permutations(row[:L]):
+                assert perm + row[L:] in rows, (L, row)
+
+
+def test_fm_compare_level4_solve_budget(monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    assert cli.main(["fm-compare", "--levels", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["polyhedra_equivalent"]
+    assert 0 < len(calls) <= 30
+
+
+def test_equal_sets_need_no_lp(monkeypatch):
+    fm4 = fourier_motzkin_region(4)
+    calls = count_solves(monkeypatch)
+    assert systems_equivalent(fm4, list_inequalities(4, ordered_only=False))
+    assert calls == []
+
+
+def test_equivalence_lp_path(monkeypatch):
+    gen = list_inequalities(3, ordered_only=False)
+    # the sum of two rows is implied but is not itself a row
+    a, b = gen[0], gen[-1]
+    total = Inequality(LambdaVector(tuple(x + y for x, y in zip(a.lam, b.lam))),
+                       tuple(x + y for x, y in zip(a.f_values, b.f_values)))
+    assert inequality_to_row(total) not in {inequality_to_row(i) for i in gen}
+    calls = count_solves(monkeypatch)
+    assert systems_equivalent(gen + [total], gen)
+    assert systems_equivalent(gen, gen + [total])
+    assert len(calls) == 2
+    # raising one row's f makes it stronger than the region
+    raised = list(gen)
+    raised[4] = Inequality(gen[4].lam, (gen[4].f_values[0] + 1,) + gen[4].f_values[1:])
+    assert not systems_equivalent(raised, gen)
+    assert not systems_equivalent(gen, raised)

@@ -153,14 +153,14 @@ def test_verdict_json_shapes():
 def test_redundancy_examples():
     full2 = list_inequalities(2, ordered_only=False)
     idx = next(i for i, r in enumerate(full2) if tuple(r.lam) == (1, 1))
-    essential, witness = redundancy_certificate(2, idx, (1, 1))
+    _, essential, witness = redundancy_certificate(2, idx, (1, 1))
     assert essential and witness == (1, 1)
 
     for i in range(10):
-        essential, witness = redundancy_certificate(3, i, (1, 1, 1))
+        _, essential, witness = redundancy_certificate(3, i, (1, 1, 1))
         assert essential and witness is not None
 
-    essential, witness = redundancy_certificate(1, 0, (1,))
+    _, essential, witness = redundancy_certificate(1, 0, (1,))
     assert essential and witness == (0,)
 
 
@@ -171,7 +171,7 @@ def test_redundancy_witness_is_certified():
     ineqs = list_inequalities(L, ordered_only=False)
     ones = (F(1),) * L
     for index in (0, 4, 9):
-        essential, witness = redundancy_certificate(L, index, ones)
+        _, essential, witness = redundancy_certificate(L, index, ones)
         assert essential
         lp = LinearProgram(L)
         for k, ineq in enumerate(ineqs):
@@ -191,7 +191,7 @@ def test_redundancy_random_positive_profiles():
         for _ in range(3):
             entropies = random_positive_entropies(rng, L)
             for index in range(n):
-                essential, witness = redundancy_certificate(L, index, entropies)
+                _, essential, witness = redundancy_certificate(L, index, entropies)
                 assert essential and witness is not None
 
 
@@ -218,8 +218,8 @@ def test_redundancy_matches_closure_lp():
         for index, target in enumerate(closure):
             oracle = closure_redundancy_lp(L, index, entropies)
             optimum = solve(oracle).objective_value
-            essential, witness = redundancy_certificate(L, index, entropies)
-            assert essential and optimum < target.rhs(entropies), (L, index)
+            ineq, essential, witness = redundancy_certificate(L, index, entropies)
+            assert ineq == target and essential and optimum < target.rhs(entropies), (L, index)
             assert target.lhs(witness) == optimum and assert_feasible_point(oracle, witness)
 
 
@@ -250,7 +250,7 @@ def test_level5_representatives_against_closure():
                        if ineq.lam.components == ineq.lam.sorted_desc]
     assert len(closure) == 446 and len(representatives) == 23
     for index in representatives:
-        essential, witness = redundancy_certificate(5, index, ones)
+        _, essential, witness = redundancy_certificate(5, index, ones)
         assert essential and satisfies_all_but(closure, index, witness, ones), index
 
 
@@ -259,7 +259,7 @@ def test_level6_representatives_essential():
     closure = list_inequalities(6, ordered_only=False)
     for lam in ((1,) * 6, (16, 8, 4, 2, 1, 1)):
         index = next(i for i, ineq in enumerate(closure) if ineq.lam.components == lam)
-        essential, witness = redundancy_certificate(6, index, ones)
+        _, essential, witness = redundancy_certificate(6, index, ones)
         assert essential and satisfies_all_but(closure, index, witness, ones), lam
     with pytest.raises(ResourceLimitError):
         redundancy_certificate(7, 0, (1,) * 7)
