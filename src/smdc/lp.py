@@ -47,15 +47,14 @@ class LpRow:
 
 @dataclass
 class LinearProgram:
-    """num_vars variables with individual lower bounds (default 0), no upper bounds.
+    """num_vars nonnegative variables, no upper bounds.
 
-    Coefficients, right-hand sides and bounds are ints or Fractions.
+    Coefficients and right-hand sides are ints or Fractions.
     """
 
     num_vars: int
     rows: list[LpRow] = field(default_factory=list)
     objective: tuple[tuple[int | Fraction, ...], Sense] | None = None
-    var_lower_bounds: tuple[Fraction, ...] | None = None
 
     def add(self, coeffs, relation: Relation, rhs) -> None:
         coeffs = tuple(coeffs)
@@ -68,13 +67,6 @@ class LinearProgram:
         if len(coeffs) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
         self.objective = (coeffs, sense)
-
-    def lower_bounds(self) -> tuple[Fraction, ...]:
-        if self.var_lower_bounds is None:
-            return (Fraction(0),) * self.num_vars
-        if len(self.var_lower_bounds) != self.num_vars:
-            raise ValueError("var_lower_bounds length does not match num_vars")
-        return tuple(Fraction(b) for b in self.var_lower_bounds)
 
 
 @dataclass(frozen=True)
@@ -179,35 +171,30 @@ def solve(lp: LinearProgram) -> LpResult:
     if lp.num_vars < 1:
         raise ValueError("program must have at least one variable")
     n = lp.num_vars
-    lb = lp.lower_bounds()
-    shifts = [(k, b) for k, b in enumerate(lb) if b]
 
-    # Shift x = y + lb so all variables are >= 0, and drop identically-zero rows.
-    shifted: list[tuple[tuple[int | Fraction, ...], Relation, int | Fraction]] = []
+    # Drop identically-zero rows.
+    rows: list[tuple[tuple[int | Fraction, ...], Relation, int | Fraction]] = []
     for row in lp.rows:
         if len(row.coeffs) != n:
             raise ValueError("row length does not match num_vars")
-        rhs = row.rhs
-        if shifts:
-            rhs -= sum(row.coeffs[k] * b for k, b in shifts if row.coeffs[k])
         if not any(row.coeffs):
             if row.relation is Relation.LE:
-                ok = rhs >= 0
+                ok = row.rhs >= 0
             elif row.relation is Relation.GE:
-                ok = rhs <= 0
+                ok = row.rhs <= 0
             else:
-                ok = rhs == 0
+                ok = row.rhs == 0
             if not ok:
                 return LpResult(Status.INFEASIBLE)
             continue
-        shifted.append((row.coeffs, row.relation, rhs))
+        rows.append((row.coeffs, row.relation, row.rhs))
 
-    n_slack = sum(1 for _, rel, _ in shifted if rel is not Relation.EQ)
+    n_slack = sum(1 for _, rel, _ in rows if rel is not Relation.EQ)
     # A row can start with its slack basic only if the slack coefficient comes
     # out positive once the rhs has been made nonnegative; the rest get an
     # artificial variable and a phase-1 solve.
     needs_art = []
-    for coeffs, rel, rhs in shifted:
+    for coeffs, rel, rhs in rows:
         neg = rhs < 0
         if rel is Relation.EQ:
             needs_art.append(True)
@@ -222,7 +209,7 @@ def solve(lp: LinearProgram) -> LpResult:
     art_cols: list[int] = []
     slack_at = n
     art_at = n + n_slack
-    for idx, (coeffs, rel, rhs) in enumerate(shifted):
+    for idx, (coeffs, rel, rhs) in enumerate(rows):
         scale, dense = _scaled(coeffs + (rhs,))
         b = dense.pop()
         if b < 0:
@@ -264,7 +251,7 @@ def solve(lp: LinearProgram) -> LpResult:
         banned |= set(art_cols)
 
     if lp.objective is None:
-        point = _extract_point(tab, n, lb)
+        point = _extract_point(tab, n)
         return LpResult(Status.FEASIBLE, point=point)
 
     coeffs, sense = lp.objective
@@ -274,7 +261,7 @@ def solve(lp: LinearProgram) -> LpResult:
     outcome = tab.run_simplex(obj, banned)
     if outcome == "unbounded":
         return LpResult(Status.UNBOUNDED)
-    point = _extract_point(tab, n, lb)
+    point = _extract_point(tab, n)
     value = sum(c * x for c, x in zip(coeffs, point))
     return LpResult(Status.OPTIMAL, point=point, objective_value=value)
 
@@ -301,9 +288,9 @@ def _drive_out_artificials(tab: _Tableau, art_cols: set[int]) -> None:
         tab.basis = [tab.basis[i] for i in keep]
 
 
-def _extract_point(tab: _Tableau, n: int, lb: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    point = list(lb)
+def _extract_point(tab: _Tableau, n: int) -> tuple[Fraction, ...]:
+    point = [Fraction(0)] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            point[b] += tab.value(i)
+            point[b] = tab.value(i)
     return tuple(point)

@@ -212,8 +212,9 @@ def compact_allocation_lp(query: RateQuery) -> LinearProgram:
     a = 2..L-1 a threshold t_a followed by excesses u[l][a].  The a smallest
     entries x_l of a column sum to max_t (a t - sum_l (t - x_l)^+), so they
     reach H_a exactly when some t_a, u >= 0 have a t_a - sum_l u[l][a] >= H_a
-    and u[l][a] >= t_a - x_l.  Level 1 (every entry) becomes lower bounds on
-    r[l][0]; level L (the column sum) is a single row.
+    and u[l][a] >= t_a - x_l.  Level 1 (every entry) is a shift: column
+    l * L holds y_l = r[l][0] - H_1 >= 0, so each rate row has right side
+    R_l - H_1.  Level L (the column sum) is a single row.
     """
     L = query.L
     check_lp_levels(L)
@@ -223,10 +224,7 @@ def compact_allocation_lp(query: RateQuery) -> LinearProgram:
     for l in range(L):
         row = zero.copy()
         row[l * L:(l + 1) * L] = [1] * L
-        lp.add(row, Relation.EQ, query.rates[l])
-    lower = [Fraction(0)] * n
-    lower[:L * L:L] = [query.entropies[0]] * L
-    lp.var_lower_bounds = tuple(lower)
+        lp.add(row, Relation.EQ, query.rates[l] - query.entropies[0])
     if L > 1:
         row = zero.copy()
         row[L - 1:L * L:L] = [1] * L
@@ -254,9 +252,9 @@ def check_achievable_lp(query: RateQuery) -> MembershipVerdict:
     result = solve(compact_allocation_lp(query))
     if result.status is Status.INFEASIBLE:
         return MembershipVerdict(False, "lp")
-    L = query.L
-    allocation = SuperpositionAllocation(
-        tuple(tuple(result.point[l * L:(l + 1) * L]) for l in range(L)))
+    L, point, h1 = query.L, result.point, query.entropies[0]
+    allocation = SuperpositionAllocation(tuple(
+        (point[l * L] + h1,) + point[l * L + 1:(l + 1) * L] for l in range(L)))
     if not allocation.satisfies(query):
         raise RuntimeError("LP allocation failed exact verification")
     return MembershipVerdict(True, "lp", witness_allocation=allocation)

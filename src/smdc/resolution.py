@@ -24,6 +24,7 @@ from .errors import ResourceLimitError
 from .lp import LinearProgram, Relation, Sense, Status, solve
 
 MAX_BRUTEFORCE_L = 12
+MAX_TAIL_COLUMNS = comb(14, 7)  # 3432 columns; wider tail LPs take many seconds
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,10 @@ def optimal_resolution(lam, alpha: int) -> Resolution:
     if m == 1:
         tail_weights = {1 << i: w for i, w in enumerate(tail) if w}
     else:
+        if comb(len(tail), m) > MAX_TAIL_COLUMNS:
+            raise ResourceLimitError(
+                f"optimal resolution limited to {MAX_TAIL_COLUMNS} tail columns"
+                f" (C({len(tail)}, {m}) = {comb(len(tail), m)})")
         lp, masks = _resolution_lp(tail, m)
         result = solve(lp)
         assert result.status is Status.OPTIMAL

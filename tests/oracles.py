@@ -14,13 +14,12 @@ from smdc.rng import random_fraction
 
 
 def assert_feasible_point(lp, point) -> bool:
-    """Exact row-by-row (and lower-bound) verification of a candidate point."""
+    """Exact row-by-row (and nonnegativity) verification of a candidate point."""
     point = tuple(Fraction(x) for x in point)
     if len(point) != lp.num_vars:
         raise ValueError("point dimension does not match num_vars")
-    for x, b in zip(point, lp.lower_bounds()):
-        if x < b:
-            return False
+    if any(x < 0 for x in point):
+        return False
     for row in lp.rows:
         lhs = sum(c * x for c, x in zip(row.coeffs, point))
         if row.relation is Relation.LE and not lhs <= row.rhs:

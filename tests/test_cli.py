@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -146,6 +148,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_resolution_tail_budget_exits_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "resolution", "--lambda", ",".join(["1"] * 18),
+                             "--alpha", "9")
+    assert code == 2 and out == ""
+    assert err == "error: optimal resolution limited to 3432 tail columns (C(18, 9) = 48620)\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_check_lp_level_limit(capsys):
     ones = ",".join(["1"] * 13)
     code, out, err = run_cli(capsys, "check", "--levels", "13", "--rates", ones,
@@ -209,10 +220,33 @@ def test_redundancy_fields_besides_witness_pinned(capsys):
         "3e214096fe0dc7ebc2e6d2a182cc5bd166c4bb719170ba623d95338cb80d7601"
 
 
-def test_cli_import_leaves_mpmath_unloaded():
+def test_cli_runs_with_mpmath_blocked():
     env = dict(os.environ, PYTHONPATH=str(Path(smdc.__file__).parents[1]))
-    probe = "import sys, smdc.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    command = "subset-entropy --levels 3 --trials 2 --seed 5"
+    probe = ("import sys; sys.modules['mpmath'] = None; from smdc import cli; "
+             f"sys.exit(cli.main({command.split()!r}))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def test_package_imports_only_stdlib():
+    package = Path(smdc.__file__).parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "smdc" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert foreign == []
 
 
 def test_gen_bad_levels_every_time(capsys):
@@ -243,6 +277,8 @@ STDOUT_SHA256 = {
         "70537876a643f625c9cc14e3c8a70e1119deb3dfb52abde26657dbad14ff11b1",
     "subset-entropy --levels 3 --trials 2 --seed 5":
         "85c06af9f6e4fc259be1e2cdc07c343996b493c255be5318777c3a541c1884bc",
+    "subset-entropy --levels 4 --trials 3 --seed 7":
+        "494dd403c43e35e1e209d4a1bf3c2b92af5ba3cd956077d4d7c3e18c2b34f28a",
     "check --levels 8 --rates 3,3,3,3,3,3,3,3 --entropies 1,1/2,1,3/2,1,1/2,1,1/3"
     " --method lp":
         "702a070b3db7a20e06bf40cdcf7cc19e19e09e2044575c4e61db0b9c83eb5ee7",

@@ -1,6 +1,7 @@
+import decimal
+import hashlib
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 
 from oracles import is_monotone, is_submodular, uniform_resolution
@@ -28,10 +29,23 @@ def test_entropy_examples():
 
     tri = JointDistribution((2, 2), {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)})
     ev = entropy_vector(tri)
-    with mpmath.workdps(50):
-        exact = mpmath.log(3) / mpmath.log(2)
-        assert abs(float(ev[0b11]) - float(exact)) <= 2.0 ** -40
+    assert ev[0b11] == F(1742684699132, 2 ** 40)  # round(log2(3) * 2^40), at 60 digits
     assert entropy_vector(tri).values == ev.values  # deterministic rounding
+    with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR)):
+        assert entropy_vector(tri).values == ev.values  # whatever the caller's context
+
+
+def test_entropy_values_pinned():
+    # sha256 of every rounded entropy value, taken with 50-digit mpmath logs
+    rng = SplitMix64(12)
+    digest = hashlib.sha256()
+    for L in range(1, 6):
+        for sizes in ((2,) * L, tuple(2 + i % 2 for i in range(L))):
+            for _ in range(4):
+                ev = entropy_vector(random_joint_distribution(rng, sizes))
+                digest.update(repr(sorted(ev.values.items())).encode())
+    assert digest.hexdigest() == \
+        "dae613d12c36428b911a2782a697d134a4506f941fdecc314e0e453eb1ba6478"
 
 
 def test_entropy_vector_keeps_no_module_state():

@@ -71,15 +71,6 @@ def test_zero_rows_dropped_or_reject():
     assert solve(lp).objective_value == 0
 
 
-def test_lower_bounds_shift():
-    lp = LinearProgram(2, var_lower_bounds=(F(1, 2), F(2)))
-    lp.add([1, 1], Relation.LE, 4)
-    lp.set_objective([1, 1], Sense.MAX)
-    result = solve(lp)
-    assert result.objective_value == 4
-    assert all(x >= b for x, b in zip(result.point, (F(1, 2), F(2))))
-
-
 def _beale_lp():
     lp = LinearProgram(4)
     lp.add([F(1, 4), -60, F(-1, 25), 9], Relation.LE, 0)

@@ -96,6 +96,12 @@ def test_optimal_resolution_examples():
     assert res.weights == {0b011: F(1, 2), 0b101: F(1, 2), 0b110: F(1, 2)}
 
 
+def test_optimal_resolution_tail_budget():
+    # C(15, 7) = 6435 tail columns, above the C(14, 7) budget
+    with pytest.raises(ResourceLimitError):
+        optimal_resolution((1,) * 15, 7)
+
+
 def test_optimal_resolution_above_zeta_is_empty():
     res = optimal_resolution((1, 1, 0), 3)
     assert res.weights == {}
