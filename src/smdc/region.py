@@ -19,11 +19,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from operator import mul
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .generator import expand_permutations, iter_ordered
+from .generator import expand_permutations, ordered_rows
 from .lp import LinearProgram, Relation, Sense, Status, solve
 from .ratio import format_rational
 from .resolution import LambdaVector, f_vector
@@ -139,20 +140,22 @@ class MembershipVerdict:
         return {"achievable": self.achievable, "method": self.method, "witness": witness}
 
 
-_TABLES: dict[int, tuple[list[Inequality], Iterator[LambdaVector], dict]] = {}
+_TABLES: dict[int, tuple[list[Inequality], Iterator[tuple], dict]] = {}
 _TABLES_LOCK = threading.Lock()
 
 
 def ordered_inequalities(L: int) -> Iterator[Inequality]:
     """The ordered rows S_L^0 in canonical order, computed as they are read.
 
-    L is checked first.  For L <= MAX_REMEMBERED_L the rows are remembered:
-    later reads replay them, f runs once per row per process, and equal f
-    values share one Fraction to keep the tables small.  Larger L is streamed.
+    L is checked first.  Each row's f and theta come from the generator's walk.
+    For L <= MAX_REMEMBERED_L the rows are remembered: later reads replay
+    them, each row is built once per process, and equal f values share one
+    Fraction to keep the tables small.  Larger L is streamed.
     """
+    rows = ordered_rows(L)
     if L > MAX_REMEMBERED_L:
-        return map(Inequality.from_lambda, iter_ordered(L))
-    return _replay(L, *_TABLES.setdefault(L, ([], iter_ordered(L), {})))
+        return starmap(Inequality, rows)
+    return _replay(L, *_TABLES.setdefault(L, ([], rows, {})))
 
 
 def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Inequality]:
@@ -161,9 +164,8 @@ def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Ine
         with _TABLES_LOCK:  # one reader at a time extends a table
             if i == len(rows):
                 try:
-                    lv = next(members)
-                    f = tuple(shared.setdefault(v.as_integer_ratio(), v)
-                              for v in f_vector(lv).values)
+                    lv, f = next(members)
+                    f = tuple(shared.setdefault(v.as_integer_ratio(), v) for v in f)
                     rows.append(Inequality(lv, f))
                 except StopIteration:
                     return

@@ -25,6 +25,7 @@ from .lp import LinearProgram, Relation, Sense, Status, solve
 
 MAX_BRUTEFORCE_L = 12
 MAX_TAIL_COLUMNS = comb(14, 7)  # 3432 columns; wider tail LPs take many seconds
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,14 @@ class LambdaVector:
     components: tuple[Fraction, ...]
 
     def __post_init__(self):
-        comps = tuple(Fraction(c) for c in self.components)
+        comps = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                      for c in self.components)
         if not comps:
             raise ValueError("lambda vector must have at least one component")
-        if any(c < 0 for c in comps):
+        signs = [c.numerator for c in comps]  # int tests, cheaper than Fraction ones
+        if min(signs) < 0:
             raise ValueError("lambda components must be nonnegative")
-        if not any(comps):
+        if not any(signs):
             raise ValueError("lambda vector must not be all zero")
         object.__setattr__(self, "components", comps)
 
@@ -53,6 +56,14 @@ class LambdaVector:
         if isinstance(value, cls):
             return value
         return cls(tuple(value))
+
+    @classmethod
+    def member(cls, components, theta_seq: tuple[int, ...]) -> "LambdaVector":
+        """A generator member whose theta-sequence the caller already holds;
+        it fills the ``theta_seq`` cache instead of being recomputed."""
+        lv = cls(components)
+        lv.__dict__["theta_seq"] = theta_seq
+        return lv
 
     @property
     def L(self) -> int:
@@ -191,6 +202,42 @@ def _beta_scan(suffix: list[Fraction], alpha: int, start: int = 0) -> int:
         if suffix[beta] * (alpha - beta - 1) <= suffix[beta + 1] * (alpha - beta):
             return beta
     return alpha - 1
+
+
+def _theta_scan(theta_seq: tuple[int, ...], alpha: int, start: int) -> int:
+    """``_beta_scan`` for a generator member, read off its theta-sequence.
+
+    theta_b = theta_seq[-1 - b] is the theta of ordered position b < zeta - 1
+    (lambda_b = suffix[b + 1] / theta_b), so suffix[b] / suffix[b + 1] =
+    (theta_b + 1) / theta_b and the test
+    suffix[b] (alpha - b - 1) <= suffix[b + 1] (alpha - b) reads
+    alpha - b - 1 <= theta_b.  beta = zeta - 1 never stops the scan (its next
+    suffix is 0), and a beta >= zeta stops it at once (its suffix is 0).
+    """
+    zeta = len(theta_seq) + 1
+    for beta in range(start, min(alpha - 1, zeta - 1)):
+        if alpha - beta - 1 <= theta_seq[-1 - beta]:
+            return beta
+    # Unstopped: a start >= zeta stops there, and zeta - 1 runs on to zeta.
+    return min(alpha - 1, max(start, zeta))
+
+
+def member_f_values(suffix: tuple[Fraction, ...], theta_seq: tuple[int, ...],
+                    L: int) -> tuple[Fraction, ...]:
+    """f_1..f_L of a normalized generator member with L components, from its
+    nonzero suffix sums suffix[0..zeta-1] and its theta-sequence: the values
+    of ``f_vector``, with each scan resumed as there, but no Fraction test."""
+    zeta = len(theta_seq) + 1
+    values = []
+    beta = 0
+    for alpha in range(1, L + 1):
+        beta = _theta_scan(theta_seq, alpha, beta)
+        if beta < zeta:  # suffix[beta] / (alpha - beta), without the operator's dispatch
+            tail = suffix[beta]
+            values.append(Fraction(tail.numerator, tail.denominator * (alpha - beta)))
+        else:
+            values.append(_ZERO)
+    return tuple(values)
 
 
 def beta_star(lam, alpha: int) -> int:

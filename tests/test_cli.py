@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -249,6 +250,18 @@ def test_package_imports_only_stdlib():
     assert foreign == []
 
 
+def test_bench_traced_names_resolve():
+    """Every smdc.<module>.<name> that bench/tracing.py wraps still exists."""
+    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert traced
+    missing = [f"smdc.{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(f"smdc.{module}"), name, None))]
+    assert missing == []
+
+
 def test_gen_bad_levels_every_time(capsys):
     for _ in range(2):
         code, out, err = run_cli(capsys, "gen", "--levels", "0")
@@ -286,6 +299,10 @@ STDOUT_SHA256 = {
         "597bc5eb560929749334afd271c4ebe8e0abfe6f0c1213e5e4ed48a1ca332e4c",
     "verify-equivalence --levels 5 --trials 200 --seed 1":
         "fd85e623913b7a6bb7344b4b4e646c5cc4d5252d9ce1a7a1636fe6948aeda216",
+    "table --levels 10":
+        "65dee5e8551cbd0b07e085a2073cf8069242ae0e351456fcc87cd00ab8c634f6",
+    "gen --levels 11 --format csv":  # streamed, not remembered
+        "e76a7d63af98d77553912240ef7d7e56ca9cffee56128af03b913de89c534a28",
 }
 
 

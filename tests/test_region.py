@@ -7,15 +7,16 @@ import pytest
 from golden import TABLES
 from oracles import (assert_feasible_point, closure_redundancy_lp,
                      superposition_feasibility_lp)
-from smdc import region
+from smdc import generator, region
 from smdc.errors import ResourceLimitError
 from smdc.generator import count_ordered
 from smdc.lp import Status, solve
 from smdc.region import (MAX_LP_LEVELS, Inequality, RateQuery,
                          SuperpositionAllocation, check_achievable_inequalities,
                          check_achievable_lp, compact_allocation_lp,
-                         list_inequalities, redundancy_certificate,
-                         redundancy_certificates)
+                         list_inequalities, ordered_inequalities,
+                         redundancy_certificate, redundancy_certificates)
+from smdc.resolution import LambdaVector, f_vector
 from smdc.rng import (SplitMix64, random_boundary_query, random_fraction,
                       random_positive_entropies)
 
@@ -58,8 +59,9 @@ def test_table_rows_are_remembered():
 def test_closure_reuses_ordered_f(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = region.f_vector
-    monkeypatch.setattr(region, "f_vector", lambda lam: calls.append(lam) or real(lam))
+    real = generator.member_f_values
+    monkeypatch.setattr(generator, "member_f_values",
+                        lambda *row: calls.append(row) or real(*row))
     assert len(list_inequalities(4, ordered_only=False)) == 53
     assert len(calls) == count_ordered(4) == 9
     list_inequalities(4, ordered_only=False)
@@ -69,18 +71,40 @@ def test_closure_reuses_ordered_f(monkeypatch):
 def test_interrupted_table_is_rebuilt(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = region.f_vector
+    real = generator.member_f_values
 
-    def interrupt_fifth(lam):
-        calls.append(lam)
+    def interrupt_fifth(*row):
+        calls.append(row)
         if len(calls) == 5:
             raise KeyboardInterrupt
-        return real(lam)
+        return real(*row)
 
-    monkeypatch.setattr(region, "f_vector", interrupt_fifth)
+    monkeypatch.setattr(generator, "member_f_values", interrupt_fifth)
     with pytest.raises(KeyboardInterrupt):
         list_inequalities(5)
     assert [(tuple(i.lam), i.f_values, i.theta) for i in list_inequalities(5)] == TABLES[5]
+
+
+def test_row_stream_matches_f_vector_and_theta_seq():
+    """Each row's f and theta from the walk equal the closed form's and those
+    recomputed from lambda: every row at L <= 10, and a stride at L = 11, 12
+    that reaches the zeta = L - 1 and zeta = L blocks."""
+    def oracle(lam):
+        fresh = LambdaVector(lam.components)
+        return fresh.components, f_vector(fresh).values, fresh.theta_seq
+
+    def walked(row):
+        return row.lam.components, row.f_values, row.lam.theta_seq
+
+    for L in range(1, 11):
+        for row in ordered_inequalities(L):
+            assert walked(row) == oracle(row.lam)
+    for L, stride in ((11, 97), (12, 331)):
+        zetas = set()
+        for row in itertools.islice(ordered_inequalities(L), 0, None, stride):
+            assert walked(row) == oracle(row.lam)
+            zetas.add(row.lam.zeta)
+        assert {L - 1, L} <= zetas
 
 
 def test_levels_checked_before_remembering():
@@ -88,6 +112,8 @@ def test_levels_checked_before_remembering():
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
                 list_inequalities(L)
+            with pytest.raises(ResourceLimitError):  # on the call, before any read
+                ordered_inequalities(L)
 
 
 def test_early_reject_stops_at_once():

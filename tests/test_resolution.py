@@ -4,8 +4,9 @@ import pytest
 
 from golden import TABLES
 from smdc.errors import ResourceLimitError
-from smdc.resolution import (LambdaVector, Resolution, beta_star, f_alpha,
-                             f_alpha_bruteforce, f_vector, g_value,
+from smdc.generator import generate_ordered
+from smdc.resolution import (LambdaVector, Resolution, _theta_scan, beta_star,
+                             f_alpha, f_alpha_bruteforce, f_vector, g_value,
                              optimal_resolution, verify_resolution)
 
 
@@ -60,6 +61,17 @@ def test_f_vector_incremental_matches_direct():
             for a in range(1, L + 1):
                 assert fv.values[a - 1] == f_alpha(lam, a)
                 assert fv.beta_stars[a - 1] == beta_star(lam, a)
+
+
+def test_theta_scan_stops_where_beta_scan_does():
+    # Equal f values cannot tell a tie stopped early from one passed over.
+    for L in range(1, 9):
+        for lam in generate_ordered(L):
+            beta, betas = 0, []
+            for alpha in range(1, L + 1):
+                beta = _theta_scan(lam.theta_seq, alpha, beta)
+                betas.append(beta)
+            assert tuple(betas) == f_vector(lam).beta_stars, lam
 
 
 def test_bruteforce_examples():
