@@ -11,8 +11,8 @@ from .region import (Inequality, MembershipVerdict, RateQuery,
                      check_achievable_lp, list_inequalities,
                      redundancy_certificate)
 from .resolution import (FVector, LambdaVector, Resolution, beta_star, f_alpha,
-                         f_alpha_bruteforce, f_vector, g_value,
-                         optimal_resolution, verify_resolution)
+                         f_vector, g_value, optimal_resolution,
+                         verify_resolution)
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,7 @@ __all__ = [
     "ResourceLimitError", "SuperpositionAllocation", "beta_star",
     "chain_feasibility", "check_achievable_inequalities", "check_achievable_lp",
     "check_bounds", "count_ordered", "entropy_vector", "expand_permutations",
-    "f_alpha", "f_alpha_bruteforce", "f_vector", "fourier_motzkin_region",
+    "f_alpha", "f_vector", "fourier_motzkin_region",
     "g_value", "generate_ordered", "han_check", "iter_ordered",
     "list_inequalities", "optimal_resolution", "redundancy_certificate",
     "systems_equivalent", "theta_chain_counts", "verify_resolution",

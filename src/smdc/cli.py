@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -26,6 +25,8 @@ from .region import (Inequality, RateQuery, check_achievable_inequalities,
                      redundancy_certificate, redundancy_certificates)
 from .resolution import LambdaVector, f_alpha, optimal_resolution, verify_resolution
 from .rng import SplitMix64, random_boundary_query
+
+MAX_RESOLUTION_LEVELS = 1000  # the output is up to L masks of L characters
 
 
 def _emit(obj) -> None:
@@ -85,7 +86,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_resolution(args) -> int:
-    lam = LambdaVector(parse_rational_list(args.lam))
+    components = parse_rational_list(args.lam)
+    if len(components) > MAX_RESOLUTION_LEVELS:
+        raise ResourceLimitError(f"resolution limited to L <= {MAX_RESOLUTION_LEVELS}")
+    lam = LambdaVector(components)
     res = optimal_resolution(lam, args.alpha)
     total = f_alpha(lam, args.alpha) if args.alpha <= lam.zeta else Fraction(0)
     _emit({
@@ -153,6 +157,8 @@ def _cmd_fm_compare(args) -> int:
 
 
 def _cmd_subset_entropy(args) -> int:
+    import hashlib  # here only: loading OpenSSL costs every other verb 3 MiB
+
     _check_trials(args.trials)
     check_chain_levels(args.levels)
     rng = SplitMix64(args.seed)

@@ -8,23 +8,17 @@ total weight.  The closed form evaluates tail averages
     g(beta) = (sum of the L - beta smallest-ordered components) / (alpha - beta)
 
 and takes the minimum over beta, which a forward scan locates because g is
-pseudo-convex in beta.  A direct LP solve of the defining program is kept as
-an independent oracle.
+pseudo-convex in beta.  An optimal resolution is built from the scan stop by
+McNaughton's wrap-around rule, without an LP; the defining LP is kept as an
+independent oracle in the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 
-from .errors import ResourceLimitError
-from .lp import LinearProgram, Relation, Sense, Status, solve
-
-MAX_BRUTEFORCE_L = 12
-MAX_TAIL_COLUMNS = comb(14, 7)  # 3432 columns; wider tail LPs take many seconds
 _ZERO = Fraction(0)
 
 
@@ -271,48 +265,26 @@ def f_vector(lam) -> FVector:
     return FVector(tuple(values), tuple(betas))
 
 
-def _masks_of_weight(L: int, alpha: int) -> list[int]:
-    masks = []
-    for combo in itertools.combinations(range(L), alpha):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        masks.append(m)
-    masks.sort()
-    return masks
-
-
-def _resolution_lp(lam_values: tuple[Fraction, ...], alpha: int) -> tuple[LinearProgram, list[int]]:
-    L = len(lam_values)
-    masks = _masks_of_weight(L, alpha)
-    lp = LinearProgram(len(masks))
-    for i in range(L):
-        lp.add([Fraction(1) if m >> i & 1 else Fraction(0) for m in masks],
-               Relation.LE, lam_values[i])
-    lp.set_objective([Fraction(1)] * len(masks), Sense.MAX)
-    return lp, masks
-
-
-def f_alpha_bruteforce(lam, alpha: int) -> Fraction:
-    """Independent oracle: solve the defining LP exactly."""
-    lv = LambdaVector.coerce(lam)
-    _check_alpha(lv.L, alpha)
-    if lv.L > MAX_BRUTEFORCE_L:
-        raise ResourceLimitError(
-            f"brute-force LP limited to L <= {MAX_BRUTEFORCE_L} ({comb(lv.L, alpha)} variables)")
-    lp, _ = _resolution_lp(lv.components, alpha)
-    result = solve(lp)
-    assert result.status is Status.OPTIMAL
-    return result.objective_value
-
-
 def optimal_resolution(lam, alpha: int) -> Resolution:
     """A resolution attaining f_alpha(lambda), in the caller's component order.
 
-    The scan position beta* fixes a prefix of the largest ordered components
-    that appear in every support vector; the remainder is an exact LP solve on
-    the tail, which satisfies the perfect-resolution condition.  The support is
-    whichever optimum the deterministic solver lands on.
+    The beta* largest ordered components appear in every support vector; the
+    m = alpha - beta* tail components are packed by McNaughton's wrap-around
+    rule (McNaughton 1959, Management Science 6(1)).  Lay them end to end on
+    a line of length m*T, T = suffix[beta*]/m = f_alpha, and cut it into m
+    rows of length T.  Read across the rows, each slice between consecutive
+    component start points (taken mod T) meets m components, one per row, and
+    its length is that mask's weight: every component keeps its own length
+    and the weights sum to T.  This is exact because:
+
+    - the scan's stop test g(beta*) <= g(beta*+1) is lambda_{beta*+1} * m <=
+      suffix[beta*], so no tail component is longer than T and none meets a
+      slice twice (an unstopped scan has m = 1, where this is trivial);
+    - beta* is the smallest minimizer, so lambda_{beta*} * (m + 1) >
+      suffix[beta* - 1], i.e. lambda_{beta*} > T: every prefix component
+      covers its total weight T;
+    - each slice starts at a component start point, so the support has at
+      most L - beta* vectors (zero components take up no length).
     """
     lv = LambdaVector.coerce(lam)
     _check_alpha(lv.L, alpha)
@@ -320,28 +292,27 @@ def optimal_resolution(lam, alpha: int) -> Resolution:
         return Resolution(lv.L, alpha, {})
     suffix = _suffix_sums(lv.sorted_desc)
     beta = _beta_scan(suffix, alpha)
-    tail = lv.sorted_desc[beta:]
-    m = alpha - beta
-    if m == 1:
-        tail_weights = {1 << i: w for i, w in enumerate(tail) if w}
-    else:
-        if comb(len(tail), m) > MAX_TAIL_COLUMNS:
-            raise ResourceLimitError(
-                f"optimal resolution limited to {MAX_TAIL_COLUMNS} tail columns"
-                f" (C({len(tail)}, {m}) = {comb(len(tail), m)})")
-        lp, masks = _resolution_lp(tail, m)
-        result = solve(lp)
-        assert result.status is Status.OPTIMAL
-        tail_weights = {mask: w for mask, w in zip(masks, result.point) if w}
-    prefix = (1 << beta) - 1
+    period = suffix[beta] / (alpha - beta)
+    mask = 0  # the components that meet offset 0
+    for j in range(beta):
+        mask |= 1 << lv.order[j]
+    toggles: dict[Fraction, int] = {}  # offset -> components entering or leaving there
+    end = _ZERO
+    for j in range(beta, lv.zeta):
+        bit = 1 << lv.order[j]
+        start, end = end, (end + lv.sorted_desc[j]) % period
+        if start:
+            toggles[start] = toggles.get(start, 0) ^ bit
+        if end:
+            toggles[end] = toggles.get(end, 0) ^ bit
+        if not start or 0 < end <= start:  # starts a row, or wraps into the next
+            mask |= bit
     weights: dict[int, Fraction] = {}
-    for tail_mask, w in tail_weights.items():
-        sorted_mask = prefix | (tail_mask << beta)
-        orig = 0
-        for j in range(lv.L):
-            if sorted_mask >> j & 1:
-                orig |= 1 << lv.order[j]
-        weights[orig] = w
+    offset = _ZERO
+    for cut in sorted(toggles) + [period]:
+        weights[mask] = weights.get(mask, _ZERO) + (cut - offset)
+        mask ^= toggles.get(cut, 0)
+        offset = cut
     return Resolution(lv.L, alpha, weights)
 
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 from math import comb
 
 from smdc.entropy import COMPARISON_SLACK
+from smdc.errors import ResourceLimitError
 from smdc.fm import _implied_homogeneous
-from smdc.lp import LinearProgram, Relation, Sense
+from smdc.lp import LinearProgram, Relation, Sense, Status, solve
 from smdc.ratio import format_rational
 from smdc.region import list_inequalities
-from smdc.resolution import LambdaVector, Resolution
+from smdc.resolution import LambdaVector, Resolution, _check_alpha
 from smdc.rng import random_fraction
+
+MAX_BRUTEFORCE_L = 12
 
 
 def assert_feasible_point(lp, point) -> bool:
@@ -112,12 +115,41 @@ def is_submodular(ev, tol: Fraction = COMPARISON_SLACK) -> bool:
     return True
 
 
+def masks_of_weight(L: int, alpha: int) -> list[int]:
+    """Every weight-alpha bitmask of length L, ascending."""
+    return [m for m in range(1, 1 << L) if bin(m).count("1") == alpha]
+
+
+def resolution_lp(lam_values: tuple[Fraction, ...], alpha: int) -> tuple[LinearProgram, list[int]]:
+    """The defining alpha-resolution LP: one column per weight-alpha mask,
+    C(L, alpha) of them, and one row per component."""
+    L = len(lam_values)
+    masks = masks_of_weight(L, alpha)
+    lp = LinearProgram(len(masks))
+    for i in range(L):
+        lp.add([Fraction(1) if m >> i & 1 else Fraction(0) for m in masks],
+               Relation.LE, lam_values[i])
+    lp.set_objective([Fraction(1)] * len(masks), Sense.MAX)
+    return lp, masks
+
+
+def f_alpha_bruteforce(lam, alpha: int) -> Fraction:
+    """Independent oracle for f_alpha: solve the defining LP exactly."""
+    lv = LambdaVector.coerce(lam)
+    _check_alpha(lv.L, alpha)
+    if lv.L > MAX_BRUTEFORCE_L:
+        raise ResourceLimitError(
+            f"brute-force LP limited to L <= {MAX_BRUTEFORCE_L} ({comb(lv.L, alpha)} variables)")
+    result = solve(resolution_lp(lv.components, alpha)[0])
+    assert result.status is Status.OPTIMAL
+    return result.objective_value
+
+
 def uniform_resolution(L: int, alpha: int) -> Resolution:
     """Weight 1/C(L-1, alpha-1) on every weight-alpha mask: the unique optimal
     resolution for the all-ones vector, and the Han's-inequality witness."""
     w = Fraction(1, comb(L - 1, alpha - 1))
-    masks = [m for m in range(1, 1 << L) if bin(m).count("1") == alpha]
-    return Resolution(L, alpha, {m: w for m in masks})
+    return Resolution(L, alpha, {m: w for m in masks_of_weight(L, alpha)})
 
 
 def random_lambda(rng, length: int) -> tuple[Fraction, ...]:

@@ -7,10 +7,9 @@ from fractions import Fraction as F
 
 from smdc.region import (RateQuery, check_achievable_inequalities,
                          check_achievable_lp)
-from smdc.resolution import (LambdaVector, beta_star, f_alpha,
-                             f_alpha_bruteforce, f_vector, g_value,
-                             optimal_resolution, verify_resolution)
-from oracles import random_lambda, random_normalized_lambda
+from smdc.resolution import (LambdaVector, beta_star, f_alpha, f_vector,
+                             g_value, optimal_resolution, verify_resolution)
+from oracles import f_alpha_bruteforce, random_lambda, random_normalized_lambda
 from smdc.rng import SplitMix64, random_boundary_query, random_fraction
 
 

@@ -11,8 +11,8 @@ from fractions import Fraction as F
 
 import props
 from golden import TABLES
-from oracles import (assert_feasible_point, is_monotone, is_submodular,
-                     random_normalized_lambda)
+from oracles import (assert_feasible_point, f_alpha_bruteforce, is_monotone,
+                     is_submodular, random_normalized_lambda)
 from smdc import cli
 from smdc.entropy import (chain_feasibility, entropy_vector, han_check,
                           random_joint_distribution)
@@ -22,7 +22,7 @@ from smdc.lp import LinearProgram, Relation
 from smdc.region import (RateQuery, check_achievable_inequalities,
                          check_achievable_lp, list_inequalities,
                          redundancy_certificate)
-from smdc.resolution import f_alpha, f_alpha_bruteforce, f_vector, verify_resolution
+from smdc.resolution import f_alpha, f_vector, verify_resolution
 from smdc.rng import SplitMix64, random_boundary_query
 
 

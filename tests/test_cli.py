@@ -149,13 +149,26 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
-def test_resolution_tail_budget_exits_fast(capsys):
+def test_resolution_wide_tail_answers_fast(capsys):
+    # C(18, 9) = 48620 weight-9 masks, far beyond what the defining LP solves
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "resolution", "--lambda", ",".join(["1"] * 18),
-                             "--alpha", "9")
+    code, out, _ = run_cli(capsys, "resolution", "--lambda", ",".join(["1"] * 18),
+                           "--alpha", "9")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    record = json.loads(out)
+    assert record["total"] == "2" and record["verified"] is True
+
+
+def test_resolution_level_budget(capsys):
+    L = cli.MAX_RESOLUTION_LEVELS
+    code, out, _ = run_cli(capsys, "resolution", "--lambda", ",".join(["1"] * L),
+                           "--alpha", str(L // 2))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, err = run_cli(capsys, "resolution", "--lambda", ",".join(["1"] * (L + 1)),
+                             "--alpha", "1")
     assert code == 2 and out == ""
-    assert err == "error: optimal resolution limited to 3432 tail columns (C(18, 9) = 48620)\n"
-    assert time.perf_counter() - start < 5
+    assert err == f"error: resolution limited to L <= {L}\n"
 
 
 def test_check_lp_level_limit(capsys):
@@ -250,6 +263,22 @@ def test_package_imports_only_stdlib():
     assert foreign == []
 
 
+def test_resolution_verb_loads_neither_lp_nor_openssl():
+    """Only subset-entropy hashes, and loading OpenSSL costs 3 MiB of peak RSS;
+    optimal resolutions need no LP."""
+    env = dict(os.environ, PYTHONPATH=str(Path(smdc.__file__).parents[1]))
+    probe = ("import sys; from smdc import cli; "
+             "cli.main(['resolution', '--lambda', '3,1,1', '--alpha', '2']); "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    source = ast.parse((Path(smdc.__file__).parent / "resolution.py").read_text())
+    assert not [node for node in ast.walk(source)
+                if isinstance(node, ast.ImportFrom) and node.module == "lp"]
+
+
 def test_bench_traced_names_resolve():
     """Every smdc.<module>.<name> that bench/tracing.py wraps still exists."""
     tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -295,8 +324,8 @@ STDOUT_SHA256 = {
     "check --levels 8 --rates 3,3,3,3,3,3,3,3 --entropies 1,1/2,1,3/2,1,1/2,1,1/3"
     " --method lp":
         "702a070b3db7a20e06bf40cdcf7cc19e19e09e2044575c4e61db0b9c83eb5ee7",
-    "resolution --lambda 3,2,3/2,1,1/2,3,2,3/2,1,1/2,3,2 --alpha 4":
-        "597bc5eb560929749334afd271c4ebe8e0abfe6f0c1213e5e4ed48a1ca332e4c",
+    "resolution --lambda 3,2,3/2,1,1/2,3,2,3/2,1,1/2,3,2 --alpha 4":  # wrap-around support
+        "4dde079034482013e22f8af541f23d572a717f71aa2ae148cddb3abfe25eb82b",
     "verify-equivalence --levels 5 --trials 200 --seed 1":
         "fd85e623913b7a6bb7344b4b4e646c5cc4d5252d9ce1a7a1636fe6948aeda216",
     "table --levels 10":

@@ -160,9 +160,9 @@ def test_certificate_soundness_random():
 def test_pivot_sequences_unchanged(monkeypatch):
     """(entering column, leaving row) of every pivot, against sequences kept
     in pivot_sequences.json from the Fraction reduced-cost simplex."""
-    from oracles import closure_redundancy_lp
+    from oracles import closure_redundancy_lp, resolution_lp
     from smdc.region import RateQuery, compact_allocation_lp
-    from smdc.resolution import optimal_resolution
+    from smdc.resolution import LambdaVector, beta_star
     from smdc.rng import SplitMix64, random_boundary_query
 
     pivots = []
@@ -189,8 +189,11 @@ def test_pivot_sequences_unchanged(monkeypatch):
             statuses.add(record(f"allocation L={L} draw {draw}", lambda: solve(lp)).status)
         assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
     record("redundancy L=4 index 20", lambda: solve(closure_redundancy_lp(4, 20, (1,) * 4)))
-    lam = [F(x) for x in ("3", "2", "3/2", "1", "1/2")] * 2 + [F(3), F(2)]
-    record("resolution L=12 alpha 4", lambda: optimal_resolution(lam, 4))
+    # The defining resolution LP on the tail after the beta* scan
+    lam = LambdaVector([F(x) for x in ("3", "2", "3/2", "1", "1/2")] * 2 + [F(3), F(2)])
+    beta = beta_star(lam, 4)
+    tail_lp, _ = resolution_lp(lam.sorted_desc[beta:], 4 - beta)
+    record("resolution L=12 alpha 4", lambda: solve(tail_lp))
     record("beale", lambda: solve(_beale_lp()))
     expected = json.loads((Path(__file__).parent / "pivot_sequences.json").read_text())
     assert recorded == expected

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from golden import TABLES
+from oracles import f_alpha_bruteforce, random_lambda
 from smdc.errors import ResourceLimitError
 from smdc.generator import generate_ordered
 from smdc.resolution import (LambdaVector, Resolution, _theta_scan, beta_star,
-                             f_alpha, f_alpha_bruteforce, f_vector, g_value,
-                             optimal_resolution, verify_resolution)
+                             f_alpha, f_vector, g_value, optimal_resolution,
+                             verify_resolution)
+from smdc.rng import SplitMix64
 
 
 def test_g_value_examples():
@@ -108,10 +110,33 @@ def test_optimal_resolution_examples():
     assert res.weights == {0b011: F(1, 2), 0b101: F(1, 2), 0b110: F(1, 2)}
 
 
-def test_optimal_resolution_tail_budget():
-    # C(15, 7) = 6435 tail columns, above the C(14, 7) budget
-    with pytest.raises(ResourceLimitError):
-        optimal_resolution((1,) * 15, 7)
+def test_optimal_resolution_wide_tail():
+    # C(15, 7) = 6435 tail masks: beyond what the defining LP solves quickly
+    lam = (1,) * 15
+    res = optimal_resolution(lam, 7)
+    assert verify_resolution(lam, res, F(15, 7))
+    assert len(res.weights) <= 15
+
+
+def test_optimal_resolution_random_grid():
+    """Every alpha of random grid vectors, zeros included: an optimal
+    resolution on at most L vectors, and at L <= 8 the defining LP's total."""
+    ties = tuple(F(x) for x in ("0", "1/2", "1", "3/2", "2", "3"))
+    rng = SplitMix64(14)
+    for case in range(420):
+        L = 1 + case % 14
+        if case // 14 % 2:  # each L gets both kinds
+            lam = random_lambda(rng, L)
+        else:  # tie-heavy, zeros common; the trailing 1 keeps it nonzero
+            lam = tuple(rng.choice(ties) for _ in range(L - 1)) + (F(1),)
+        lam = LambdaVector.coerce(lam)
+        for a in range(1, L + 1):
+            res = optimal_resolution(lam, a)
+            total = f_alpha(lam, a) if a <= lam.zeta else F(0)
+            assert verify_resolution(lam, res, total), (lam, a)
+            assert len(res.weights) <= L, (lam, a)
+            if L <= 8:
+                assert total == f_alpha_bruteforce(lam, a), (lam, a)
 
 
 def test_optimal_resolution_above_zeta_is_empty():
