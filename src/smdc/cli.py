@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .entropy import (chain_feasibility, check_chain_levels, entropy_vector,
                       han_check, random_joint_distribution)
@@ -21,8 +22,9 @@ from .fm import fourier_motzkin_region, systems_equivalent
 from .generator import check_bounds, generate_ordered
 from .ratio import format_rational, parse_rational_list
 from .region import (Inequality, RateQuery, check_achievable_inequalities,
-                     check_achievable_lp, check_lp_levels, list_inequalities,
-                     redundancy_certificate, redundancy_certificates)
+                     check_achievable_lp, check_lp_levels, iter_inequalities,
+                     list_inequalities, redundancy_certificate,
+                     redundancy_certificates)
 from .resolution import LambdaVector, f_alpha, optimal_resolution, verify_resolution
 from .rng import SplitMix64, random_boundary_query
 
@@ -33,7 +35,7 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _write_rows(ineqs: list[Inequality], L: int, delimiter: str) -> None:
+def _write_rows(ineqs: Iterable[Inequality], L: int, delimiter: str) -> None:
     """The table layout: a header, then lambda, f_1..f_L and theta per row."""
     writer = csv.writer(sys.stdout, delimiter=delimiter, lineterminator="\n")
     writer.writerow(["lambda"] + [f"f{a}" for a in range(1, L + 1)] + ["theta"])
@@ -44,7 +46,7 @@ def _write_rows(ineqs: list[Inequality], L: int, delimiter: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    ineqs = list_inequalities(args.levels, ordered_only=not args.all_perms)
+    ineqs = iter_inequalities(args.levels, ordered_only=not args.all_perms)
     if args.format == "json":
         for ineq in ineqs:
             _emit(ineq.to_json_obj())
@@ -60,7 +62,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _write_rows(list_inequalities(args.levels), args.levels, "\t")
+    _write_rows(iter_inequalities(args.levels), args.levels, "\t")
     return 0
 
 

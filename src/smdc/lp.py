@@ -1,15 +1,28 @@
 """Exact rational linear programming.
 
-Dense two-phase simplex over arbitrary-precision rationals with Bland's
+Two-phase simplex over arbitrary-precision rationals with Bland's
 smallest-index rule for both the entering and the leaving variable, so every
 solve terminates (no cycling) and is bit-for-bit deterministic.
 
 Rationals appear only in a program's inputs and in its result.  Each tableau
-row is a gcd-normalized integer vector with a positive scale folded into its
-basic column ("fraction-free" pivoting), and the reduced-cost row is an integer
-vector known up to one positive factor, since pricing reads only its signs.
-The pivot sequence is identical to a plain Fraction tableau because
-entering/leaving choices depend only on signs and exact ratios.
+row is built from the nonzero terms of its input row as an integer vector with
+a positive scale folded into its basic column ("fraction-free" pivoting,
+Bareiss 1968), and the reduced-cost row is an integer vector known up to one
+positive factor, since pricing reads only its signs.  The pivot sequence is
+identical to a plain Fraction tableau because entering/leaving choices depend
+only on signs and exact ratios.
+
+A pivot on entry p > 0 of row r updates each row i with entry q in the
+pivot column.  With g = gcd(p, q), p' = p/g and q' = q/g, the new row is
+p'*row_i - q'*row_r divided by the gcd of its entries and right side.  That is
+p*row_i - q*row_r over g, so both normalize to the same primitive row: every
+entry, ratio test and pivot equals that of the full product.  When p' = 1 (p
+divides q, as when p = 1) the new row differs from row_i only in the columns
+where row_r is nonzero, so only those are touched.  Otherwise row_i is scaled
+by p' and then updated on those columns, or rebuilt in one pass when row_r is
+mostly nonzero.  The reduced-cost row is updated by the same rule.  Rows are
+kept primitive, and the pivot row is never rescaled, so it needs no
+normalizing.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 
@@ -79,7 +93,7 @@ class LpResult:
 class _Tableau:
     def __init__(self, n_cols: int):
         self.n_cols = n_cols
-        self.rows: list[list[int]] = []    # coefficient part, len n_cols
+        self.rows: list[list[int]] = []    # coefficient part, len n_cols, primitive with rhs
         self.rhs: list[int] = []           # scaled right-hand sides, kept >= 0
         self.basis: list[int] = []         # basic column per row; diag = rows[i][basis[i]] > 0
 
@@ -97,21 +111,20 @@ class _Tableau:
             # Only reached when driving out a zero-valued basic variable.
             self.rows[r] = [-a for a in self.rows[r]]
             self.rhs[r] = -self.rhs[r]
-        p = self.rows[r][j]
         row_r = self.rows[r]
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            q = self.rows[i][j]
-            if q:
-                row_i = self.rows[i]
-                self.rows[i] = [p * a - q * b for a, b in zip(row_i, row_r)]
-                self.rhs[i] = p * self.rhs[i] - q * self.rhs[r]
+        p = row_r[j]
+        support = _support(row_r)
+        for i, row_i in enumerate(self.rows):
+            q = row_i[j]
+            if q and i != r:
+                g = gcd(p, q)
+                p_i, q_i = p // g, q // g
+                self.rows[i] = _combine(row_i, p_i, q_i, row_r, support)
+                self.rhs[i] = p_i * self.rhs[i] - q_i * self.rhs[r]
                 self._normalize(i)
         if obj is not None and obj[j]:
-            obj[:] = _eliminate(obj, p, obj[j], row_r)
-        self.basis[r] = j
-        self._normalize(r)
+            obj[:] = _eliminate(obj, p, obj[j], row_r, support)
+        self.basis[r] = j  # row r stays primitive: it is not rescaled
 
     def reduced_costs(self, cost: list[int]) -> list[int]:
         """Reduced costs of the basis, up to one positive factor.
@@ -120,9 +133,9 @@ class _Tableau:
         basic column with the cost still standing there.
         """
         obj = list(cost)
-        for i, b in enumerate(self.basis):
+        for row, b in zip(self.rows, self.basis):
             if obj[b]:
-                obj = _eliminate(obj, self.rows[i][b], obj[b], self.rows[i])
+                obj = _eliminate(obj, row[b], obj[b], row, _support(row))
         return obj
 
     def run_simplex(self, obj: list[int], banned: set[int],
@@ -153,17 +166,44 @@ class _Tableau:
             self.pivot(enter, leave, obj)
 
 
-def _eliminate(obj: list[int], p: int, q: int, row: list[int]) -> list[int]:
+def _support(row: list[int]) -> list[tuple[int, int]]:
+    """(column, entry) for every nonzero entry of row."""
+    cols = list(compress(count(), row))
+    return list(zip(cols, map(row.__getitem__, cols)))
+
+
+def _combine(row: list[int], p: int, q: int, other: list[int],
+             support: list[tuple[int, int]]) -> list[int]:
+    """p*row - q*other, where support lists other's nonzero entries.  With
+    p == 1 only those columns change, and row itself is updated."""
+    if p == 1:
+        for c, b in support:
+            row[c] -= q * b
+        return row
+    if 2 * len(support) > len(row):
+        return [p * a - q * b for a, b in zip(row, other)]
+    row = [p * a for a in row]
+    for c, b in support:
+        row[c] -= q * b
+    return row
+
+
+def _eliminate(obj: list[int], p: int, q: int, row: list[int],
+               support: list[tuple[int, int]]) -> list[int]:
     """p*obj - q*row over the gcd of its entries; p > 0 keeps every sign."""
-    out = [p * a - q * b for a, b in zip(obj, row)]
+    g = gcd(p, q)
+    out = _combine(obj, p // g, q // g, row, support)
     g = gcd(*out)
     return [a // g for a in out] if g > 1 else out
 
 
-def _scaled(values) -> tuple[int, list[int]]:
-    """(s, s * values) for the least s > 0 that makes every value an int."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _dense(terms: list[tuple[int, int | Fraction]], s: int, width: int) -> list[int]:
+    """s * value in each term's column and 0 elsewhere; s is a multiple of
+    every denominator."""
+    row = [0] * width
+    for k, v in terms:
+        row[k] = v.numerator * (s // v.denominator)
+    return row
 
 
 def solve(lp: LinearProgram) -> LpResult:
@@ -172,12 +212,13 @@ def solve(lp: LinearProgram) -> LpResult:
         raise ValueError("program must have at least one variable")
     n = lp.num_vars
 
-    # Drop identically-zero rows.
-    rows: list[tuple[tuple[int | Fraction, ...], Relation, int | Fraction]] = []
+    # Keep each row's nonzero terms; drop identically-zero rows.
+    rows: list[tuple[list[tuple[int, int | Fraction]], Relation, int | Fraction]] = []
     for row in lp.rows:
         if len(row.coeffs) != n:
             raise ValueError("row length does not match num_vars")
-        if not any(row.coeffs):
+        terms = [(k, c) for k, c in enumerate(row.coeffs) if c]
+        if not terms:
             if row.relation is Relation.LE:
                 ok = row.rhs >= 0
             elif row.relation is Relation.GE:
@@ -187,14 +228,14 @@ def solve(lp: LinearProgram) -> LpResult:
             if not ok:
                 return LpResult(Status.INFEASIBLE)
             continue
-        rows.append((row.coeffs, row.relation, row.rhs))
+        rows.append((terms, row.relation, row.rhs))
 
     n_slack = sum(1 for _, rel, _ in rows if rel is not Relation.EQ)
     # A row can start with its slack basic only if the slack coefficient comes
     # out positive once the rhs has been made nonnegative; the rest get an
     # artificial variable and a phase-1 solve.
     needs_art = []
-    for coeffs, rel, rhs in rows:
+    for _, rel, rhs in rows:
         neg = rhs < 0
         if rel is Relation.EQ:
             needs_art.append(True)
@@ -209,18 +250,13 @@ def solve(lp: LinearProgram) -> LpResult:
     art_cols: list[int] = []
     slack_at = n
     art_at = n + n_slack
-    for idx, (coeffs, rel, rhs) in enumerate(rows):
-        scale, dense = _scaled(coeffs + (rhs,))
-        b = dense.pop()
-        if b < 0:
-            dense = [-a for a in dense]
-            b = -b
-            slack_sign = -1 if rel is Relation.LE else 1
-        else:
-            slack_sign = 1 if rel is Relation.LE else -1
-        dense += [0] * (n_slack + n_art)
+    for idx, (terms, rel, rhs) in enumerate(rows):
+        scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+        b = rhs.numerator * (scale // rhs.denominator)
+        s = -scale if b < 0 else scale  # a row with a negative rhs is negated
+        dense = _dense(terms, s, n_cols)
         if rel is not Relation.EQ:
-            dense[slack_at] = slack_sign * scale
+            dense[slack_at] = s if rel is Relation.LE else -s
         if needs_art[idx]:
             dense[art_at] = scale
             basis_col = art_at
@@ -231,7 +267,7 @@ def solve(lp: LinearProgram) -> LpResult:
         if rel is not Relation.EQ:
             slack_at += 1
         tab.rows.append(dense)
-        tab.rhs.append(b)
+        tab.rhs.append(abs(b))
         tab.basis.append(basis_col)
         tab._normalize(len(tab.rows) - 1)
 
@@ -256,8 +292,9 @@ def solve(lp: LinearProgram) -> LpResult:
 
     coeffs, sense = lp.objective
     sign = 1 if sense is Sense.MIN else -1
-    cost = [sign * c for c in _scaled(coeffs)[1]] + [0] * (n_cols - n)
-    obj = tab.reduced_costs(cost)
+    terms = [(k, c) for k, c in enumerate(coeffs) if c]
+    scale = lcm(*(c.denominator for _, c in terms))
+    obj = tab.reduced_costs(_dense(terms, sign * scale, n_cols))
     outcome = tab.run_simplex(obj, banned)
     if outcome == "unbounded":
         return LpResult(Status.UNBOUNDED)

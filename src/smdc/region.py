@@ -176,13 +176,20 @@ def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Ine
         i += 1
 
 
-def list_inequalities(L: int, ordered_only: bool = True) -> list[Inequality]:
-    """The region's halfspaces; ordered-only reproduces the table rows.  The
-    closure reuses each ordered row's f, which depends only on sorted lambda."""
+def iter_inequalities(L: int, ordered_only: bool = True) -> Iterator[Inequality]:
+    """The region's halfspaces as they are read, L checked first; ordered-only
+    gives the table rows.  The closure reuses each ordered row's f, which
+    depends only on sorted lambda."""
+    rows = ordered_inequalities(L)
     if ordered_only:
-        return list(ordered_inequalities(L))
-    return [Inequality(lv, row.f_values) for row in ordered_inequalities(L)
-            for lv in expand_permutations((row.lam,))]
+        return rows
+    return (Inequality(lv, row.f_values) for row in rows
+            for lv in expand_permutations((row.lam,)))
+
+
+def list_inequalities(L: int, ordered_only: bool = True) -> list[Inequality]:
+    """``iter_inequalities`` as a list."""
+    return list(iter_inequalities(L, ordered_only))
 
 
 def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:

@@ -157,13 +157,14 @@ class Resolution:
     def column_sums(self) -> tuple[Fraction, ...]:
         sums = [Fraction(0)] * self.L
         for mask, w in self.weights.items():
-            for i in range(self.L):
-                if mask >> i & 1:
-                    sums[i] += w
+            while mask:
+                low = mask & -mask
+                sums[low.bit_length() - 1] += w
+                mask ^= low
         return tuple(sums)
 
     def mask_string(self, mask: int) -> str:
-        return "".join("1" if mask >> i & 1 else "0" for i in range(self.L))
+        return format(mask, f"0{self.L}b")[::-1]
 
 
 def _suffix_sums(sorted_desc: tuple[Fraction, ...]) -> list[Fraction]:

@@ -2,12 +2,12 @@
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from smdc.entropy import COMPARISON_SLACK
 from smdc.errors import ResourceLimitError
 from smdc.fm import _implied_homogeneous
-from smdc.lp import LinearProgram, Relation, Sense, Status, solve
+from smdc.lp import LinearProgram, LpResult, Relation, Sense, Status, solve
 from smdc.ratio import format_rational
 from smdc.region import list_inequalities
 from smdc.resolution import LambdaVector, Resolution, _check_alpha
@@ -174,3 +174,226 @@ def is_member(lam) -> bool:
 
 def format_rational_list(values) -> list[str]:
     return [format_rational(v) for v in values]
+
+
+# The full-width exact simplex that smdc.lp.solve replaced, kept as its reference.
+
+class _DenseTableau:
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self.rows: list[list[int]] = []    # coefficient part, len n_cols
+        self.rhs: list[int] = []           # scaled right-hand sides, kept >= 0
+        self.basis: list[int] = []         # basic column per row; diag = rows[i][basis[i]] > 0
+
+    def value(self, i: int) -> Fraction:
+        return Fraction(self.rhs[i], self.rows[i][self.basis[i]])
+
+    def _normalize(self, i: int) -> None:
+        g = gcd(self.rhs[i], *self.rows[i])
+        if g > 1:
+            self.rows[i] = [a // g for a in self.rows[i]]
+            self.rhs[i] //= g
+
+    def pivot(self, j: int, r: int, obj: list[int] | None) -> None:
+        if self.rows[r][j] < 0:
+            # Only reached when driving out a zero-valued basic variable.
+            self.rows[r] = [-a for a in self.rows[r]]
+            self.rhs[r] = -self.rhs[r]
+        p = self.rows[r][j]
+        row_r = self.rows[r]
+        for i in range(len(self.rows)):
+            if i == r:
+                continue
+            q = self.rows[i][j]
+            if q:
+                row_i = self.rows[i]
+                self.rows[i] = [p * a - q * b for a, b in zip(row_i, row_r)]
+                self.rhs[i] = p * self.rhs[i] - q * self.rhs[r]
+                self._normalize(i)
+        if obj is not None and obj[j]:
+            obj[:] = _dense_eliminate(obj, p, obj[j], row_r)
+        self.basis[r] = j
+        self._normalize(r)
+
+    def reduced_costs(self, cost: list[int]) -> list[int]:
+        """Reduced costs of the basis, up to one positive factor.
+
+        A basic column is nonzero only in its own row, so each row clears its
+        basic column with the cost still standing there.
+        """
+        obj = list(cost)
+        for i, b in enumerate(self.basis):
+            if obj[b]:
+                obj = _dense_eliminate(obj, self.rows[i][b], obj[b], self.rows[i])
+        return obj
+
+    def run_simplex(self, obj: list[int], banned: set[int],
+                    ban_on_leave: set[int] | None = None) -> str:
+        while True:
+            enter = -1
+            for j in range(self.n_cols):
+                if j not in banned and obj[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            for i in range(len(self.rows)):
+                a = self.rows[i][enter]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = self.rhs[i] * self.rows[leave][enter]
+                    rhs = self.rhs[leave] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            if ban_on_leave and self.basis[leave] in ban_on_leave:
+                banned.add(self.basis[leave])
+            self.pivot(enter, leave, obj)
+
+
+def _dense_eliminate(obj: list[int], p: int, q: int, row: list[int]) -> list[int]:
+    """p*obj - q*row over the gcd of its entries; p > 0 keeps every sign."""
+    out = [p * a - q * b for a, b in zip(obj, row)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
+def _dense_scaled(values) -> tuple[int, list[int]]:
+    """(s, s * values) for the least s > 0 that makes every value an int."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def dense_solve(lp: LinearProgram) -> LpResult:
+    """The simplex that ``solve`` replaced: every pivot rebuilds each row it
+    touches across all columns.  Same pivots, statuses and points."""
+    if lp.num_vars < 1:
+        raise ValueError("program must have at least one variable")
+    n = lp.num_vars
+
+    # Drop identically-zero rows.
+    rows: list[tuple[tuple[int | Fraction, ...], Relation, int | Fraction]] = []
+    for row in lp.rows:
+        if len(row.coeffs) != n:
+            raise ValueError("row length does not match num_vars")
+        if not any(row.coeffs):
+            if row.relation is Relation.LE:
+                ok = row.rhs >= 0
+            elif row.relation is Relation.GE:
+                ok = row.rhs <= 0
+            else:
+                ok = row.rhs == 0
+            if not ok:
+                return LpResult(Status.INFEASIBLE)
+            continue
+        rows.append((row.coeffs, row.relation, row.rhs))
+
+    n_slack = sum(1 for _, rel, _ in rows if rel is not Relation.EQ)
+    # A row can start with its slack basic only if the slack coefficient comes
+    # out positive once the rhs has been made nonnegative; the rest get an
+    # artificial variable and a phase-1 solve.
+    needs_art = []
+    for coeffs, rel, rhs in rows:
+        neg = rhs < 0
+        if rel is Relation.EQ:
+            needs_art.append(True)
+        elif rel is Relation.LE:
+            needs_art.append(neg)      # slack +1 flips to -1 when the row is negated
+        else:
+            needs_art.append(not neg)  # surplus -1 flips to +1 when negated
+    n_art = sum(needs_art)
+    n_cols = n + n_slack + n_art
+
+    tab = _DenseTableau(n_cols)
+    art_cols: list[int] = []
+    slack_at = n
+    art_at = n + n_slack
+    for idx, (coeffs, rel, rhs) in enumerate(rows):
+        scale, dense = _dense_scaled(coeffs + (rhs,))
+        b = dense.pop()
+        if b < 0:
+            dense = [-a for a in dense]
+            b = -b
+            slack_sign = -1 if rel is Relation.LE else 1
+        else:
+            slack_sign = 1 if rel is Relation.LE else -1
+        dense += [0] * (n_slack + n_art)
+        if rel is not Relation.EQ:
+            dense[slack_at] = slack_sign * scale
+        if needs_art[idx]:
+            dense[art_at] = scale
+            basis_col = art_at
+            art_cols.append(art_at)
+            art_at += 1
+        else:
+            basis_col = slack_at
+        if rel is not Relation.EQ:
+            slack_at += 1
+        tab.rows.append(dense)
+        tab.rhs.append(b)
+        tab.basis.append(basis_col)
+        tab._normalize(len(tab.rows) - 1)
+
+    banned: set[int] = set()
+
+    if art_cols:
+        cost = [0] * n_cols
+        for c in art_cols:
+            cost[c] = 1
+        obj = tab.reduced_costs(cost)
+        # Bounded below by 0, so never unbounded; once an artificial leaves the
+        # basis it is banned from re-entering.
+        tab.run_simplex(obj, banned, ban_on_leave=set(art_cols))
+        if any(tab.rhs[i] for i in range(len(tab.rows)) if tab.basis[i] in art_cols):
+            return LpResult(Status.INFEASIBLE)
+        _dense_drive_out_artificials(tab, set(art_cols))
+        banned |= set(art_cols)
+
+    if lp.objective is None:
+        point = _dense_extract_point(tab, n)
+        return LpResult(Status.FEASIBLE, point=point)
+
+    coeffs, sense = lp.objective
+    sign = 1 if sense is Sense.MIN else -1
+    cost = [sign * c for c in _dense_scaled(coeffs)[1]] + [0] * (n_cols - n)
+    obj = tab.reduced_costs(cost)
+    outcome = tab.run_simplex(obj, banned)
+    if outcome == "unbounded":
+        return LpResult(Status.UNBOUNDED)
+    point = _dense_extract_point(tab, n)
+    value = sum(c * x for c, x in zip(coeffs, point))
+    return LpResult(Status.OPTIMAL, point=point, objective_value=value)
+
+
+def _dense_drive_out_artificials(tab: _DenseTableau, art_cols: set[int]) -> None:
+    """Pivot zero-valued basic artificials out; drop rows that are redundant."""
+    keep = []
+    for i in range(len(tab.rows)):
+        if tab.basis[i] not in art_cols:
+            keep.append(i)
+            continue
+        enter = -1
+        for j in range(tab.n_cols):
+            if j not in art_cols and tab.rows[i][j]:
+                enter = j
+                break
+        if enter < 0:
+            continue  # 0 = 0 row
+        tab.pivot(enter, i, None)
+        keep.append(i)
+    if len(keep) != len(tab.rows):
+        tab.rows = [tab.rows[i] for i in keep]
+        tab.rhs = [tab.rhs[i] for i in keep]
+        tab.basis = [tab.basis[i] for i in keep]
+
+
+def _dense_extract_point(tab: _DenseTableau, n: int) -> tuple[Fraction, ...]:
+    point = [Fraction(0)] * n
+    for i, b in enumerate(tab.basis):
+        if b < n:
+            point[b] = tab.value(i)
+    return tuple(point)

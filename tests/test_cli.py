@@ -221,6 +221,18 @@ def test_redundancy_index_without_closure_listing(capsys, monkeypatch):
                    ' "rhs": "7", "lp_optimum": "13/2", "witness_rates": ["2", "5/2", "1", "15"]}\n')
 
 
+def test_gen_and_table_stream_rows(capsys, monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("rows collected into a list before writing")
+
+    monkeypatch.setattr(cli, "list_inequalities", listing)
+    for command in ("gen --levels 11 --format csv", "gen --levels 5 --all-perms --format csv",
+                    "table --levels 8"):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command], command
+
+
 def test_redundancy_fields_besides_witness_pinned(capsys):
     # The LP optimum is unique but its minimizer need not be, so only
     # witness_rates may change with the certificate method; index, lambda,

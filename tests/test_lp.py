@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import assert_feasible_point
+import oracles
+from oracles import assert_feasible_point, dense_solve
 from smdc import lp as lp_module
 from smdc.lp import LinearProgram, Relation, Sense, Status, solve
 
@@ -161,6 +162,7 @@ def test_pivot_sequences_unchanged(monkeypatch):
     """(entering column, leaving row) of every pivot, against sequences kept
     in pivot_sequences.json from the Fraction reduced-cost simplex."""
     from oracles import closure_redundancy_lp, resolution_lp
+    from smdc.entropy import chain_feasibility, entropy_vector, random_joint_distribution
     from smdc.region import RateQuery, compact_allocation_lp
     from smdc.resolution import LambdaVector, beta_star
     from smdc.rng import SplitMix64, random_boundary_query
@@ -195,5 +197,104 @@ def test_pivot_sequences_unchanged(monkeypatch):
     tail_lp, _ = resolution_lp(lam.sorted_desc[beta:], 4 - beta)
     record("resolution L=12 alpha 4", lambda: solve(tail_lp))
     record("beale", lambda: solve(_beale_lp()))
+    # A chain LP: 2^-40 entropy rationals against 0/1 resolution weights
+    ev = entropy_vector(random_joint_distribution(SplitMix64(4), (2,) * 4))
+    holds, _ = record("chain_feasibility L=4 (1,1,1,1)",
+                      lambda: chain_feasibility((1, 1, 1, 1), ev))
+    assert holds
+    record("fm L=4 first implication", lambda: solve(_first_fm_lp(monkeypatch)))
     expected = json.loads((Path(__file__).parent / "pivot_sequences.json").read_text())
     assert recorded == expected
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_fm_lp(monkeypatch):
+    """The first _implied_homogeneous LP that fourier_motzkin_region(4) solves."""
+    from smdc import fm
+
+    def capture(lp):
+        raise _Captured(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fm, "solve", capture)
+        with pytest.raises(_Captured) as caught:
+            fm.fourier_motzkin_region(4)
+    return caught.value.args[0]
+
+
+def _random_lp(rng):
+    """Small LPs over every relation, with negative and zero right sides, dense
+    or about 90% zero rows, and with or without an objective.  A third of them
+    end in equalities that combine and repeat earlier rows, which can leave
+    zero-valued artificials to drive out."""
+    from smdc.rng import random_fraction
+
+    n = 1 + rng.randrange(7)
+    zero_odds = (0, 2, 9)[rng.randrange(3)]  # a coefficient is 0 with odds k : 1
+
+    def coefficient():
+        if rng.randrange(zero_odds + 1):
+            return 0
+        c = random_fraction(rng, allow_zero=False)
+        return -c if rng.randrange(3) == 0 else c
+
+    def coefficients():
+        row = [coefficient() for _ in range(n)]
+        while not any(row):
+            row = [coefficient() for _ in range(n)]
+        return row
+
+    def right_side():
+        k = rng.randrange(4)
+        return 0 if k == 0 else -random_fraction(rng) if k == 1 else random_fraction(rng)
+
+    lp = LinearProgram(n)
+    for _ in range(1 + rng.randrange(6)):
+        rel = (Relation.LE, Relation.LE, Relation.GE, Relation.GE, Relation.EQ)[rng.randrange(5)]
+        lp.add(coefficients(), rel, right_side())
+    if rng.randrange(3) == 0:
+        first, second = lp.rows[rng.randrange(len(lp.rows))], lp.rows[rng.randrange(len(lp.rows))]
+        lp.add([a + 2 * b for a, b in zip(first.coeffs, second.coeffs)], Relation.EQ,
+               first.rhs + 2 * second.rhs)
+        lp.add(first.coeffs, Relation.EQ, first.rhs)
+    if rng.randrange(3):
+        lp.set_objective(coefficients(),
+                         (Sense.MIN, Sense.MAX)[rng.randrange(2)])
+    return lp
+
+
+def test_solve_matches_dense_oracle(monkeypatch):
+    """Same pivots, status and point as the full-width simplex on random LPs."""
+    from smdc.rng import SplitMix64
+
+    pivots = {"solve": [], "dense_solve": []}
+    negative_pivots = []
+
+    def recorder(cls, key):
+        original = cls.pivot
+
+        def recording(self, j, r, obj):
+            pivots[key].append((j, r))
+            assert len(pivots[key]) < 1000, f"{key} does not terminate"
+            if key == "solve" and self.rows[r][j] < 0:
+                negative_pivots.append(r)
+            return original(self, j, r, obj)
+        monkeypatch.setattr(cls, "pivot", recording)
+
+    recorder(lp_module._Tableau, "solve")
+    recorder(oracles._DenseTableau, "dense_solve")
+    rng = SplitMix64(1968)
+    statuses = set()
+    for draw in [_beale_lp()] + [_random_lp(rng) for _ in range(300)]:
+        for side in pivots.values():
+            side.clear()
+        got, want = solve(draw), dense_solve(draw)
+        assert (got.status, got.point, got.objective_value) == \
+            (want.status, want.point, want.objective_value)
+        assert pivots["solve"] == pivots["dense_solve"]
+        statuses.add(got.status)
+    assert statuses == set(Status)
+    assert negative_pivots

@@ -161,6 +161,20 @@ def test_optimal_resolution_round_trip_tables():
                 assert verify_resolution(lv, res, f[a - 1]), (lam, a)
 
 
+def test_mask_string_and_column_sums_match_bit_definition():
+    rng = SplitMix64(70)
+    for L in (1, 7, 70):
+        masks = {sum(1 << i for i in range(L) if rng.randrange(3) == 0) | 1 << rng.randrange(L)
+                 for _ in range(40)}
+        res = Resolution(L, 1, {m: F(1 + rng.randrange(9), 1 + rng.randrange(4))
+                                for m in masks})
+        for m in masks:
+            assert res.mask_string(m) == "".join("1" if m >> i & 1 else "0"
+                                                 for i in range(L))
+        assert res.column_sums() == tuple(
+            sum((w for m, w in res.weights.items() if m >> i & 1), F(0)) for i in range(L))
+
+
 def test_verify_resolution_rejects():
     assert not verify_resolution((1, 1), Resolution(2, 2, {0b11: F(3, 2)}), F(3, 2))
     assert not verify_resolution((1, 1), Resolution(2, 2, {0b01: F(1)}), 1)  # wrong weight
