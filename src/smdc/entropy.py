@@ -6,11 +6,14 @@ denominator D of the pmf, H(X_U) = log2 D - (sum W ln W) / (D ln 2) with
 integer marginal weights W, evaluated in stdlib decimal at 30 significant
 digits.  Each ln, product, sum and quotient there has relative error at most
 0.5e-29, so with at most 10^6 cells and D below 2^100 the result is off by
-under 1e-21 bits, over 10^8 times below half a 2^-40 step.  Inequality
-checks (Han's inequality and the chained optimal-resolution feasibility) allow
-a 2^-30 slack in the >= direction: orders of magnitude above the accumulated
-rounding error at these sizes, so a true instance can never be flipped by
-rounding.
+under 1e-21 bits, over 10^8 times below half a 2^-40 step.
+
+The chain of optimal resolutions is fixed, with no LP: the wrap-around ones,
+averaged over lambda's symmetry so that every step is Shannon-type, which
+the tests prove at L <= 4.  Han's inequality and the chain allow a 2^-30
+slack in the >= direction.  A chain step weighs at most f_{a-1} + f_a <= 12
+entropies at L <= 4, each off by under 2^-41 + 1e-21, so rounding moves it
+by under 2^-37, 128 times below the slack: a true instance never flips.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import ResourceLimitError
-from .lp import LinearProgram, Relation, Status, solve
-from .resolution import LambdaVector, Resolution, f_vector
+from .resolution import LambdaVector, Resolution, optimal_resolution
 from .rng import SplitMix64, random_pmf
 
 ENTROPY_DENOM_BITS = 40
@@ -110,7 +112,7 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
     return EntropyVector(L, values)
 
 
-def han_check(ev: EntropyVector, slack: Fraction = COMPARISON_SLACK) -> bool:
+def han_check(ev: EntropyVector) -> bool:
     """Averages of H over k-subsets, normalized by k, must fall with k."""
     L = ev.L
     level_sum = [Fraction(0)] * (L + 1)
@@ -119,7 +121,7 @@ def han_check(ev: EntropyVector, slack: Fraction = COMPARISON_SLACK) -> bool:
     for a in range(2, L + 1):
         lhs = level_sum[a - 1] / comb(L - 1, a - 2)
         rhs = level_sum[a] / comb(L - 1, a - 1)
-        if lhs < rhs - slack:
+        if lhs < rhs - COMPARISON_SLACK:
             return False
     return True
 
@@ -129,14 +131,36 @@ def check_chain_levels(L: int) -> None:
         raise ResourceLimitError(f"chain feasibility limited to L <= {MAX_CHAIN_LEVELS}")
 
 
-def chain_feasibility(lam, ev: EntropyVector,
-                      slack: Fraction = COMPARISON_SLACK
-                      ) -> tuple[bool, list[Resolution] | None]:
+def symmetric_resolution(lam, alpha: int) -> Resolution:
+    """``optimal_resolution`` averaged over the permutations that fix lambda,
+    those within each block of equal components: each weight-alpha mask gets
+    the mean weight of the masks with its count in every block.  An average
+    of optimal resolutions is optimal: its column sums stay at most lambda
+    and its total stays f_alpha.  Walks all 2^L masks, so L must be small."""
+    lv = LambdaVector.coerce(lam)
+    blocks = {c: sum(1 << i for i, d in enumerate(lv) if d == c) for c in lv}.values()
+
+    def orbit(mask: int) -> tuple[int, ...]:
+        return tuple(bin(mask & block).count("1") for block in blocks)
+
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(1 << lv.L):
+        if bin(mask).count("1") == alpha:
+            orbits.setdefault(orbit(mask), []).append(mask)
+    totals: dict[tuple[int, ...], Fraction] = {}
+    for mask, w in optimal_resolution(lv, alpha).weights.items():
+        key = orbit(mask)
+        totals[key] = totals.get(key, Fraction(0)) + w
+    return Resolution(lv.L, alpha, {mask: total / len(orbits[key])
+                                    for key, total in totals.items() for mask in orbits[key]})
+
+
+def chain_feasibility(lam, ev: EntropyVector) -> tuple[bool, list[Resolution] | None]:
     """One optimal resolution per level whose entropy-weighted totals descend.
 
-    A single exact LP over all weights: per-level feasibility against lambda,
-    per-level optimality (total equals f_a(lambda)), and the descending chain
-    between consecutive levels.  Only generator-set members are accepted.
+    The resolutions are ``symmetric_resolution``'s, whatever the entropies;
+    only generator-set members are accepted.  The tests prove each step
+    Shannon-type at L <= 4, so it holds for every distribution.
     """
     lv = LambdaVector.coerce(lam)
     if lv.L != ev.L:
@@ -144,47 +168,10 @@ def chain_feasibility(lam, ev: EntropyVector,
     check_chain_levels(lv.L)
     if lv.theta_seq is None:
         raise ValueError("lambda is not in the generator set")
-    L = lv.L
-    f_values = f_vector(lv).values
-
-    masks_by_level = {a: [m for m in range(1, 1 << L) if bin(m).count("1") == a]
-                      for a in range(1, L + 1)}
-    offsets = {}
-    n = 0
-    for a in range(1, L + 1):
-        offsets[a] = n
-        n += len(masks_by_level[a])
-
-    lp = LinearProgram(n)
-    zero = [0] * n
-    for a in range(1, L + 1):
-        for i in range(L):
-            row = zero.copy()
-            for j, m in enumerate(masks_by_level[a]):
-                if m >> i & 1:
-                    row[offsets[a] + j] = 1
-            lp.add(row, Relation.LE, lv.components[i])
-        row = zero.copy()
-        for j in range(len(masks_by_level[a])):
-            row[offsets[a] + j] = 1
-        lp.add(row, Relation.EQ, f_values[a - 1])
-    for a in range(2, L + 1):
-        row = zero.copy()
-        for j, m in enumerate(masks_by_level[a - 1]):
-            row[offsets[a - 1] + j] = ev[m]
-        for j, m in enumerate(masks_by_level[a]):
-            row[offsets[a] + j] = -ev[m]
-        lp.add(row, Relation.GE, -slack)
-
-    result = solve(lp)
-    if result.status is not Status.FEASIBLE:
+    resolutions = [symmetric_resolution(lv, a) for a in range(1, lv.L + 1)]
+    sides = [sum((w * ev[m] for m, w in res.weights.items()), Fraction(0)) for res in resolutions]
+    if any(lower < upper - COMPARISON_SLACK for lower, upper in zip(sides, sides[1:])):
         return False, None
-    resolutions = []
-    for a in range(1, L + 1):
-        weights = {m: result.point[offsets[a] + j]
-                   for j, m in enumerate(masks_by_level[a])
-                   if result.point[offsets[a] + j]}
-        resolutions.append(Resolution(L, a, weights))
     return True, resolutions
 
 

@@ -29,9 +29,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
+        """Uniform integer in [0, n), bias-free via rejection; n <= 2^64."""
+        if not 1 <= n <= _MASK64 + 1:
+            raise ValueError("randrange needs 1 <= n <= 2^64")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
             u = self.next_u64()

@@ -4,13 +4,13 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from smdc.entropy import COMPARISON_SLACK
+from smdc.entropy import COMPARISON_SLACK, EntropyVector, check_chain_levels
 from smdc.errors import ResourceLimitError
 from smdc.fm import _implied_homogeneous
 from smdc.lp import LinearProgram, LpResult, Relation, Sense, Status, solve
 from smdc.ratio import format_rational
 from smdc.region import list_inequalities
-from smdc.resolution import LambdaVector, Resolution, _check_alpha
+from smdc.resolution import LambdaVector, Resolution, _check_alpha, f_vector
 from smdc.rng import random_fraction
 
 MAX_BRUTEFORCE_L = 12
@@ -174,6 +174,82 @@ def is_member(lam) -> bool:
 
 def format_rational_list(values) -> list[str]:
     return [format_rational(v) for v in values]
+
+
+
+def chain_feasibility_lp(lam, ev: EntropyVector) -> tuple[bool, list[Resolution] | None]:
+    """One optimal resolution per level whose entropy-weighted totals descend.
+
+    A single exact LP over all weights: per-level feasibility against lambda,
+    per-level optimality (total equals f_a(lambda)), and the descending chain
+    between consecutive levels.  Only generator-set members are accepted.
+    The search that smdc.entropy.chain_feasibility's fixed chain replaced.
+    """
+    lv = LambdaVector.coerce(lam)
+    if lv.L != ev.L:
+        raise ValueError("lambda and entropy vector dimensions differ")
+    check_chain_levels(lv.L)
+    if lv.theta_seq is None:
+        raise ValueError("lambda is not in the generator set")
+    L = lv.L
+    f_values = f_vector(lv).values
+
+    masks_by_level = {a: [m for m in range(1, 1 << L) if bin(m).count("1") == a]
+                      for a in range(1, L + 1)}
+    offsets = {}
+    n = 0
+    for a in range(1, L + 1):
+        offsets[a] = n
+        n += len(masks_by_level[a])
+
+    lp = LinearProgram(n)
+    zero = [0] * n
+    for a in range(1, L + 1):
+        for i in range(L):
+            row = zero.copy()
+            for j, m in enumerate(masks_by_level[a]):
+                if m >> i & 1:
+                    row[offsets[a] + j] = 1
+            lp.add(row, Relation.LE, lv.components[i])
+        row = zero.copy()
+        for j in range(len(masks_by_level[a])):
+            row[offsets[a] + j] = 1
+        lp.add(row, Relation.EQ, f_values[a - 1])
+    for a in range(2, L + 1):
+        row = zero.copy()
+        for j, m in enumerate(masks_by_level[a - 1]):
+            row[offsets[a - 1] + j] = ev[m]
+        for j, m in enumerate(masks_by_level[a]):
+            row[offsets[a] + j] = -ev[m]
+        lp.add(row, Relation.GE, -COMPARISON_SLACK)
+
+    result = solve(lp)
+    if result.status is not Status.FEASIBLE:
+        return False, None
+    resolutions = []
+    for a in range(1, L + 1):
+        weights = {m: result.point[offsets[a] + j]
+                   for j, m in enumerate(masks_by_level[a])
+                   if result.point[offsets[a] + j]}
+        resolutions.append(Resolution(L, a, weights))
+    return True, resolutions
+
+
+def elemental_inequalities(L: int) -> list[dict[int, int]]:
+    """Shannon's elemental inequalities sum_u c[u] h(u) >= 0 over L variables,
+    as {mask: coefficient} with h(0) = 0 dropped: H(X_i | X_rest) >= 0 for
+    each i, and I(X_i; X_j | X_K) >= 0 for each pair i < j and each K that
+    avoids both, L + C(L, 2) 2^(L-2) in all.  Together they cut out the
+    polymatroid cone (Yeung 1997, IEEE Trans. IT 43(6))."""
+    full = (1 << L) - 1
+    rows = [{full: 1, full ^ 1 << i: -1} for i in range(L)]
+    for i, j in itertools.combinations(range(L), 2):
+        pair = 1 << i | 1 << j
+        rows += [{k | 1 << i: 1, k | 1 << j: 1, k | pair: -1, k: -1}
+                 for k in range(full + 1) if not k & pair]
+    for row in rows:
+        row.pop(0, None)
+    return rows
 
 
 # The full-width exact simplex that smdc.lp.solve replaced, kept as its reference.

@@ -277,7 +277,7 @@ def test_package_imports_only_stdlib():
 
 def test_resolution_verb_loads_neither_lp_nor_openssl():
     """Only subset-entropy hashes, and loading OpenSSL costs 3 MiB of peak RSS;
-    optimal resolutions need no LP."""
+    optimal resolutions, and the subset-entropy chain built from them, need no LP."""
     env = dict(os.environ, PYTHONPATH=str(Path(smdc.__file__).parents[1]))
     probe = ("import sys; from smdc import cli; "
              "cli.main(['resolution', '--lambda', '3,1,1', '--alpha', '2']); "
@@ -286,9 +286,10 @@ def test_resolution_verb_loads_neither_lp_nor_openssl():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
-    source = ast.parse((Path(smdc.__file__).parent / "resolution.py").read_text())
-    assert not [node for node in ast.walk(source)
-                if isinstance(node, ast.ImportFrom) and node.module == "lp"]
+    for module in ("resolution.py", "entropy.py"):
+        source = ast.parse((Path(smdc.__file__).parent / module).read_text())
+        assert not [node for node in ast.walk(source)
+                    if isinstance(node, ast.ImportFrom) and node.module == "lp"], module
 
 
 def test_bench_traced_names_resolve():

@@ -1,15 +1,19 @@
 import decimal
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import is_monotone, is_submodular, uniform_resolution
-from smdc.entropy import (COMPARISON_SLACK, EntropyVector, JointDistribution,
-                          chain_feasibility, entropy_vector, han_check,
-                          random_joint_distribution)
+from oracles import (chain_feasibility_lp, elemental_inequalities, is_monotone,
+                     is_submodular, uniform_resolution)
+from smdc.entropy import (COMPARISON_SLACK, MAX_CHAIN_LEVELS, EntropyVector,
+                          JointDistribution, chain_feasibility, entropy_vector,
+                          han_check, random_joint_distribution, symmetric_resolution)
 from smdc.errors import ResourceLimitError
-from smdc.resolution import f_vector, verify_resolution
+from smdc.generator import generate_ordered
+from smdc.lp import LinearProgram, Relation, Sense, Status, solve
+from smdc.resolution import f_vector, optimal_resolution, verify_resolution
 from smdc.rng import SplitMix64
 
 
@@ -104,6 +108,10 @@ def test_chain_feasibility_examples():
     for a, res in enumerate(resolutions, start=1):
         assert verify_resolution((2, 1, 1), res, f[a - 1])
 
+    not_subadditive = EntropyVector(2, {1: F(1), 2: F(1), 3: F(2) + 2 * COMPARISON_SLACK})
+    assert chain_feasibility((1, 1), not_subadditive) == (False, None)
+    assert chain_feasibility_lp((1, 1), not_subadditive) == (False, None)
+
 
 def test_chain_feasibility_table_member_level4():
     rng = SplitMix64(5)
@@ -111,6 +119,60 @@ def test_chain_feasibility_table_member_level4():
         ev = entropy_vector(random_joint_distribution(rng, (2, 2, 2, 2)))
         holds, _ = chain_feasibility((2, 1, 1, 0), ev)
         assert holds
+
+
+def _shannon_minimum(L, lower, upper):
+    """Minimum of the step sum lower(m) h(m) - sum upper(m) h(m) over the
+    polymatroids h on L variables with h(N) <= 1: 0 when the step is
+    Shannon-type, negative otherwise."""
+    masks = range(1, 1 << L)
+    lp = LinearProgram(len(masks))
+    for row in elemental_inequalities(L):
+        lp.add([row.get(m, 0) for m in masks], Relation.GE, 0)
+    lp.add([int(m == masks[-1]) for m in masks], Relation.LE, 1)
+    lp.set_objective([lower.weights.get(m, 0) - upper.weights.get(m, 0) for m in masks],
+                     Sense.MIN)
+    result = solve(lp)
+    assert result.status is Status.OPTIMAL
+    return result.objective_value
+
+
+def test_chain_steps_are_shannon_type():
+    # every step holds on the whole polymatroid cone, so for every pmf
+    for L in range(1, MAX_CHAIN_LEVELS + 1):
+        for member in generate_ordered(L):
+            chain = [symmetric_resolution(member, a) for a in range(1, L + 1)]
+            for a in range(2, L + 1):
+                assert _shannon_minimum(L, chain[a - 2], chain[a - 1]) == 0, (member, a)
+    # the wrap-around resolutions alone are not enough: the LP sees the gap
+    for member, gap in (((1, 1, 1, 1), F(-1, 3)), ((F(3, 2), 1, 1, 1), F(-1, 4))):
+        lower, upper = (optimal_resolution(member, a) for a in (2, 3))
+        assert _shannon_minimum(4, lower, upper) == gap
+
+
+def test_symmetric_resolution_is_optimal_and_symmetric():
+    for L in range(1, MAX_CHAIN_LEVELS + 2):
+        for member in generate_ordered(L):
+            f = f_vector(member).values
+            for a in range(1, L + 1):
+                res = symmetric_resolution(member, a)
+                assert verify_resolution(member, res, f[a - 1])
+                for i, j in itertools.combinations(range(L), 2):
+                    if member[i] == member[j]:  # swapping i and j fixes lambda
+                        swap = {m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m: w
+                                for m, w in res.weights.items()}
+                        assert swap == res.weights
+
+
+def test_fixed_chain_agrees_with_the_chain_lp():
+    rng = SplitMix64(17)
+    for L in (2, 3, 4):
+        for _ in range(3):
+            ev = entropy_vector(random_joint_distribution(rng, (2,) * L))
+            for member in generate_ordered(L):
+                holds, resolutions = chain_feasibility(member, ev)
+                assert holds and chain_feasibility_lp(member, ev)[0]
+                assert [r.total() for r in resolutions] == list(f_vector(member).values)
 
 
 def test_chain_rejects_non_members():

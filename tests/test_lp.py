@@ -161,8 +161,8 @@ def test_certificate_soundness_random():
 def test_pivot_sequences_unchanged(monkeypatch):
     """(entering column, leaving row) of every pivot, against sequences kept
     in pivot_sequences.json from the Fraction reduced-cost simplex."""
-    from oracles import closure_redundancy_lp, resolution_lp
-    from smdc.entropy import chain_feasibility, entropy_vector, random_joint_distribution
+    from oracles import chain_feasibility_lp, closure_redundancy_lp, resolution_lp
+    from smdc.entropy import entropy_vector, random_joint_distribution
     from smdc.region import RateQuery, compact_allocation_lp
     from smdc.resolution import LambdaVector, beta_star
     from smdc.rng import SplitMix64, random_boundary_query
@@ -200,7 +200,7 @@ def test_pivot_sequences_unchanged(monkeypatch):
     # A chain LP: 2^-40 entropy rationals against 0/1 resolution weights
     ev = entropy_vector(random_joint_distribution(SplitMix64(4), (2,) * 4))
     holds, _ = record("chain_feasibility L=4 (1,1,1,1)",
-                      lambda: chain_feasibility((1, 1, 1, 1), ev))
+                      lambda: chain_feasibility_lp((1, 1, 1, 1), ev))
     assert holds
     record("fm L=4 first implication", lambda: solve(_first_fm_lp(monkeypatch)))
     expected = json.loads((Path(__file__).parent / "pivot_sequences.json").read_text())

@@ -45,6 +45,9 @@ def test_randrange_bounds():
     assert len(set(draws)) == 7
     with pytest.raises(ValueError):
         rng.randrange(0)
+    with pytest.raises(ValueError):  # one 64-bit draw cannot cover it
+        rng.randrange(2 ** 64 + 1)
+    assert 0 <= rng.randrange(2 ** 64) < 2 ** 64
 
 
 def test_random_normalized_lambda():
