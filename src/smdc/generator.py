@@ -8,9 +8,9 @@ theta_prev + 1, where theta_prev encoded the previous leading component.
 
 Output order is fixed: zeta ascending, then the stored theta-sequence
 lexicographically descending, which the recursion emits naturally when t runs
-downward.  The walk keeps each member's suffix sums and theta-sequence, so
-``ordered_rows`` gives its f values by small-integer tests.  Counting uses the
-closed form of the theta-chain counts, without materializing any vectors.
+downward.  The walk carries only its running total and the theta-sequence,
+which fills each member's cache.  Counting uses the closed form of the
+theta-chain counts, without materializing any vectors.
 """
 
 from __future__ import annotations
@@ -20,25 +20,23 @@ from math import factorial
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .resolution import LambdaVector, member_f_values
+from .resolution import LambdaVector
 
 MAX_ENUM_L = 14
 MAX_EXPAND_L = 7
 MAX_COUNT_L = 1000
 
 
-def _full_support(components: tuple[Fraction, ...], suffix: tuple[Fraction, ...],
+def _full_support(components: tuple[Fraction, ...], total: Fraction,
                   theta_seq: tuple[int, ...], remaining: int) -> Iterator[tuple]:
-    """Depth-first walk below a full-support tail: its components, their suffix
-    sums (suffix[0] is the total, the running T) and the thetas chosen so far,
-    bottom-up as ``LambdaVector.theta_seq`` stores them."""
+    """Depth-first walk below a full-support tail: its components, their sum
+    and its thetas, bottom-up as ``LambdaVector.theta_seq`` stores them."""
     if remaining == 0:
-        yield components, suffix, theta_seq
+        yield components, theta_seq
         return
-    total = suffix[0]
     for t in range(theta_seq[-1] + 1 if theta_seq else 1, 0, -1):
         part = total / t
-        yield from _full_support((part,) + components, (total + part,) + suffix,
+        yield from _full_support((part,) + components, total + part,
                                  theta_seq + (t,), remaining - 1)
 
 
@@ -47,12 +45,12 @@ def _check_levels(L: int) -> None:
         raise ResourceLimitError(f"enumeration limited to 1 <= L <= {MAX_ENUM_L}")
 
 
-def _members(L: int) -> Iterator[tuple[LambdaVector, tuple[Fraction, ...], tuple[int, ...]]]:
+def _members(L: int) -> Iterator[LambdaVector]:
     one, zero = Fraction(1), Fraction(0)
     for zeta in range(1, L + 1):
         zeros = (zero,) * (L - zeta)
-        for comps, suffix, theta_seq in _full_support((one,), (one,), (), zeta - 1):
-            yield LambdaVector.member(comps + zeros, theta_seq), suffix, theta_seq
+        for comps, theta_seq in _full_support((one,), one, (), zeta - 1):
+            yield LambdaVector.member(comps + zeros, theta_seq)
 
 
 def iter_ordered(L: int) -> Iterator[LambdaVector]:
@@ -63,15 +61,7 @@ def iter_ordered(L: int) -> Iterator[LambdaVector]:
     tree, so large L never holds the full (super-exponential) set at once.
     """
     _check_levels(L)
-    return (lv for lv, _, _ in _members(L))
-
-
-def ordered_rows(L: int) -> Iterator[tuple[LambdaVector, tuple[Fraction, ...]]]:
-    """``iter_ordered`` with each member's f_1..f_L, computed from the walk's
-    suffix sums and thetas (``member_f_values``), never by ``f_vector``."""
-    _check_levels(L)
-    return ((lv, member_f_values(suffix, theta_seq, L))
-            for lv, suffix, theta_seq in _members(L))
+    return _members(L)
 
 
 def generate_ordered(L: int) -> list[LambdaVector]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from operator import mul
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .generator import expand_permutations, ordered_rows
+from .generator import expand_permutations, iter_ordered
 from .lp import LinearProgram, Relation, Sense, Status, solve
 from .ratio import format_rational
 from .resolution import LambdaVector, f_vector
@@ -55,10 +54,10 @@ class Inequality:
         return self.lam.theta
 
     def lhs(self, rates) -> Fraction:
-        return sum(l * Fraction(r) for l, r in zip(self.lam, rates))
+        return sum(map(mul, self.lam, rates))
 
     def rhs(self, entropies) -> Fraction:
-        return sum(f * Fraction(h) for f, h in zip(self.f_values, entropies))
+        return sum(map(mul, self.f_values, entropies))
 
     def to_json_obj(self) -> dict:
         return {
@@ -147,15 +146,15 @@ _TABLES_LOCK = threading.Lock()
 def ordered_inequalities(L: int) -> Iterator[Inequality]:
     """The ordered rows S_L^0 in canonical order, computed as they are read.
 
-    L is checked first.  Each row's f and theta come from the generator's walk.
-    For L <= MAX_REMEMBERED_L the rows are remembered: later reads replay
-    them, each row is built once per process, and equal f values share one
-    Fraction to keep the tables small.  Larger L is streamed.
+    L is checked first; each row's f comes from ``f_vector``.  For L <=
+    MAX_REMEMBERED_L the rows are remembered: later reads replay them, each
+    row is built once per process, and equal f values share one Fraction to
+    keep the tables small.  Larger L is streamed.
     """
-    rows = ordered_rows(L)
+    members = iter_ordered(L)
     if L > MAX_REMEMBERED_L:
-        return starmap(Inequality, rows)
-    return _replay(L, *_TABLES.setdefault(L, ([], rows, {})))
+        return map(Inequality.from_lambda, members)
+    return _replay(L, *_TABLES.setdefault(L, ([], members, {})))
 
 
 def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Inequality]:
@@ -164,8 +163,9 @@ def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Ine
         with _TABLES_LOCK:  # one reader at a time extends a table
             if i == len(rows):
                 try:
-                    lv, f = next(members)
-                    f = tuple(shared.setdefault(v.as_integer_ratio(), v) for v in f)
+                    lv = next(members)
+                    f = tuple(shared.setdefault(v.as_integer_ratio(), v)
+                              for v in f_vector(lv).values)
                     rows.append(Inequality(lv, f))
                 except StopIteration:
                     return
@@ -202,7 +202,7 @@ def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:
     order = sorted(range(query.L), key=lambda i: (query.rates[i], i))
     sorted_rates = [query.rates[i] for i in order]
     for row in ordered_inequalities(query.L):
-        if sum(l * r for l, r in zip(row.lam, sorted_rates)) < row.rhs(query.entropies):
+        if row.lhs(sorted_rates) < row.rhs(query.entropies):
             rank = sorted(range(query.L), key=order.__getitem__)
             witness = Inequality(row.lam.permuted(rank), row.f_values)
             return MembershipVerdict(False, "ineq", witness_inequality=witness)

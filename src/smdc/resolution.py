@@ -8,9 +8,12 @@ total weight.  The closed form evaluates tail averages
     g(beta) = (sum of the L - beta smallest-ordered components) / (alpha - beta)
 
 and takes the minimum over beta, which a forward scan locates because g is
-pseudo-convex in beta.  An optimal resolution is built from the scan stop by
-McNaughton's wrap-around rule, without an LP; the defining LP is kept as an
-independent oracle in the tests.
+pseudo-convex in beta.  The scan runs on integer suffix sums over one common
+denominator, the lcm of the component denominators, and is the only source of
+f: ``f_vector``, ``f_alpha``, ``beta_star``, ``g_value`` and the period of
+``optimal_resolution`` all read it.  An optimal resolution is built from the
+scan stop by McNaughton's wrap-around rule, without an LP; the defining LP is
+kept as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -53,9 +57,11 @@ class LambdaVector:
 
     @classmethod
     def member(cls, components, theta_seq: tuple[int, ...]) -> "LambdaVector":
-        """A generator member whose theta-sequence the caller already holds;
-        it fills the ``theta_seq`` cache instead of being recomputed."""
+        """A generator member, whose components are already non-increasing
+        (zeros last) and whose theta-sequence the caller holds: both caches
+        are filled instead of being recomputed."""
         lv = cls(components)
+        lv.__dict__["sorted_desc"] = lv.components
         lv.__dict__["theta_seq"] = theta_seq
         return lv
 
@@ -155,25 +161,30 @@ class Resolution:
         return sum(self.weights.values(), Fraction(0))
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        sums = [Fraction(0)] * self.L
+        """Per-component weight sums, added as ints over the lcm d of the
+        weight denominators; each is divided by d once."""
+        d = lcm(*(w.denominator for w in self.weights.values()))
+        sums = [0] * self.L
         for mask, w in self.weights.items():
+            w = w.numerator * (d // w.denominator)
             while mask:
                 low = mask & -mask
                 sums[low.bit_length() - 1] += w
                 mask ^= low
-        return tuple(sums)
+        return tuple(Fraction(s, d) for s in sums)
 
     def mask_string(self, mask: int) -> str:
         return format(mask, f"0{self.L}b")[::-1]
 
 
-def _suffix_sums(sorted_desc: tuple[Fraction, ...]) -> list[Fraction]:
-    """suffix[b] = sum of components at ordered positions b+1..L (1-based)."""
-    n = len(sorted_desc)
-    suffix = [Fraction(0)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sorted_desc[i]
-    return suffix
+def _suffix_sums(sorted_desc: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """(suffix, d): suffix[b] / d = sum of components at ordered positions
+    b+1..L (1-based), with d the lcm of the component denominators."""
+    d = lcm(*(c.denominator for c in sorted_desc))
+    suffix = [0]
+    for c in reversed(sorted_desc):
+        suffix.append(suffix[-1] + c.numerator * (d // c.denominator))
+    return suffix[::-1], d
 
 
 def _check_alpha(L: int, alpha: int) -> None:
@@ -187,81 +198,46 @@ def g_value(lam, alpha: int, beta: int) -> Fraction:
     _check_alpha(lv.L, alpha)
     if not 0 <= beta <= alpha - 1:
         raise ValueError(f"beta must be in 0..{alpha - 1}, got {beta}")
-    return _suffix_sums(lv.sorted_desc)[beta] / (alpha - beta)
+    suffix, d = _suffix_sums(lv.sorted_desc)
+    return Fraction(suffix[beta], d * (alpha - beta))
 
 
-def _beta_scan(suffix: list[Fraction], alpha: int, start: int = 0) -> int:
+def _beta_scan(suffix: list[int], alpha: int, start: int = 0) -> int:
     """First beta >= start with g(beta) <= g(beta+1); pseudo-convexity makes it
-    the smallest minimizer.  Cross-multiplied to stay in integer arithmetic."""
+    the smallest minimizer.  Cross-multiplied, so the test is on ints."""
     for beta in range(start, alpha - 1):
         if suffix[beta] * (alpha - beta - 1) <= suffix[beta + 1] * (alpha - beta):
             return beta
     return alpha - 1
 
 
-def _theta_scan(theta_seq: tuple[int, ...], alpha: int, start: int) -> int:
-    """``_beta_scan`` for a generator member, read off its theta-sequence.
-
-    theta_b = theta_seq[-1 - b] is the theta of ordered position b < zeta - 1
-    (lambda_b = suffix[b + 1] / theta_b), so suffix[b] / suffix[b + 1] =
-    (theta_b + 1) / theta_b and the test
-    suffix[b] (alpha - b - 1) <= suffix[b + 1] (alpha - b) reads
-    alpha - b - 1 <= theta_b.  beta = zeta - 1 never stops the scan (its next
-    suffix is 0), and a beta >= zeta stops it at once (its suffix is 0).
-    """
-    zeta = len(theta_seq) + 1
-    for beta in range(start, min(alpha - 1, zeta - 1)):
-        if alpha - beta - 1 <= theta_seq[-1 - beta]:
-            return beta
-    # Unstopped: a start >= zeta stops there, and zeta - 1 runs on to zeta.
-    return min(alpha - 1, max(start, zeta))
-
-
-def member_f_values(suffix: tuple[Fraction, ...], theta_seq: tuple[int, ...],
-                    L: int) -> tuple[Fraction, ...]:
-    """f_1..f_L of a normalized generator member with L components, from its
-    nonzero suffix sums suffix[0..zeta-1] and its theta-sequence: the values
-    of ``f_vector``, with each scan resumed as there, but no Fraction test."""
-    zeta = len(theta_seq) + 1
-    values = []
-    beta = 0
-    for alpha in range(1, L + 1):
-        beta = _theta_scan(theta_seq, alpha, beta)
-        if beta < zeta:  # suffix[beta] / (alpha - beta), without the operator's dispatch
-            tail = suffix[beta]
-            values.append(Fraction(tail.numerator, tail.denominator * (alpha - beta)))
-        else:
-            values.append(_ZERO)
-    return tuple(values)
-
-
 def beta_star(lam, alpha: int) -> int:
     """Smallest minimizer of g over beta in 0..alpha-1, by forward scan."""
     lv = LambdaVector.coerce(lam)
     _check_alpha(lv.L, alpha)
-    return _beta_scan(_suffix_sums(lv.sorted_desc), alpha)
+    return _beta_scan(_suffix_sums(lv.sorted_desc)[0], alpha)
 
 
 def f_alpha(lam, alpha: int) -> Fraction:
     """Closed-form optimum of the alpha-resolution program: g at the scan stop."""
     lv = LambdaVector.coerce(lam)
     _check_alpha(lv.L, alpha)
-    suffix = _suffix_sums(lv.sorted_desc)
+    suffix, d = _suffix_sums(lv.sorted_desc)
     beta = _beta_scan(suffix, alpha)
-    return suffix[beta] / (alpha - beta)
+    return Fraction(suffix[beta], d * (alpha - beta))
 
 
 def f_vector(lam) -> FVector:
     """All f values at once; each scan resumes where the previous one stopped
     (the minimizers are weakly increasing in alpha)."""
     lv = LambdaVector.coerce(lam)
-    suffix = _suffix_sums(lv.sorted_desc)
+    suffix, d = _suffix_sums(lv.sorted_desc)
     values: list[Fraction] = []
     betas: list[int] = []
     beta = 0
     for alpha in range(1, lv.L + 1):
         beta = _beta_scan(suffix, alpha, start=beta)
-        values.append(suffix[beta] / (alpha - beta))
+        values.append(Fraction(suffix[beta], d * (alpha - beta)))
         betas.append(beta)
     return FVector(tuple(values), tuple(betas))
 
@@ -272,7 +248,7 @@ def optimal_resolution(lam, alpha: int) -> Resolution:
     The beta* largest ordered components appear in every support vector; the
     m = alpha - beta* tail components are packed by McNaughton's wrap-around
     rule (McNaughton 1959, Management Science 6(1)).  Lay them end to end on
-    a line of length m*T, T = suffix[beta*]/m = f_alpha, and cut it into m
+    a line of length m*T, T = (tail sum)/m = f_alpha, and cut it into m
     rows of length T.  Read across the rows, each slice between consecutive
     component start points (taken mod T) meets m components, one per row, and
     its length is that mask's weight: every component keeps its own length
@@ -291,9 +267,9 @@ def optimal_resolution(lam, alpha: int) -> Resolution:
     _check_alpha(lv.L, alpha)
     if alpha > lv.zeta:
         return Resolution(lv.L, alpha, {})
-    suffix = _suffix_sums(lv.sorted_desc)
+    suffix, d = _suffix_sums(lv.sorted_desc)
     beta = _beta_scan(suffix, alpha)
-    period = suffix[beta] / (alpha - beta)
+    period = Fraction(suffix[beta], d * (alpha - beta))
     mask = 0  # the components that meet offset 0
     for j in range(beta):
         mask |= 1 << lv.order[j]

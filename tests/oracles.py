@@ -160,6 +160,20 @@ def random_lambda(rng, length: int) -> tuple[Fraction, ...]:
             return comps
 
 
+PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                67, 71, 73, 79, 83, 89, 97)
+
+
+def random_prime_lambda(rng, length: int) -> tuple[Fraction, ...]:
+    """Nonnegative k/p with k <= 16 and p a prime up to 97, not all zero:
+    the denominators are mostly distinct, so their lcm is large."""
+    while True:
+        comps = tuple(Fraction(rng.randrange(17), rng.choice(PRIMES_TO_97))
+                      for _ in range(length))
+        if any(comps):
+            return comps
+
+
 def random_normalized_lambda(rng, length: int) -> tuple[Fraction, ...]:
     """As random_lambda, then scaled so the minimum nonzero component is 1."""
     comps = random_lambda(rng, length)

@@ -21,11 +21,11 @@ def _shuffled(rng, items):
     return tuple(items)
 
 
-def run_oracle_equivalence(cases, seed=101, max_L=6):
+def run_oracle_equivalence(cases, seed=101, max_L=6, draw=random_normalized_lambda):
     rng = SplitMix64(seed)
     for _ in range(cases):
         L = 2 + rng.randrange(max_L - 1)
-        lam = random_normalized_lambda(rng, L)
+        lam = draw(rng, L)
         for a in range(1, L + 1):
             assert f_alpha(lam, a) == f_alpha_bruteforce(lam, a), (lam, a)
 

@@ -275,6 +275,18 @@ def test_package_imports_only_stdlib():
     assert foreign == []
 
 
+def _imports_lp(node) -> bool:
+    """Whether an import statement loads smdc.lp, in any spelling: ``import
+    smdc.lp``, ``from smdc.lp import ...``, ``from .lp import ...`` or
+    ``from . import lp``."""
+    if isinstance(node, ast.Import):
+        return any("lp" in alias.name.split(".") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ("lp" in (node.module or "").split(".")
+                or any(alias.name == "lp" for alias in node.names))
+    return False
+
+
 def test_resolution_verb_loads_neither_lp_nor_openssl():
     """Only subset-entropy hashes, and loading OpenSSL costs 3 MiB of peak RSS;
     optimal resolutions, and the subset-entropy chain built from them, need no LP."""
@@ -286,10 +298,13 @@ def test_resolution_verb_loads_neither_lp_nor_openssl():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+    spellings = ("import smdc.lp", "from smdc.lp import solve", "from .lp import solve",
+                 "from . import lp", "from smdc import lp")
+    assert all(_imports_lp(ast.parse(s).body[0]) for s in spellings)
+    assert not _imports_lp(ast.parse("from .ratio import format_rational").body[0])
     for module in ("resolution.py", "entropy.py"):
         source = ast.parse((Path(smdc.__file__).parent / module).read_text())
-        assert not [node for node in ast.walk(source)
-                    if isinstance(node, ast.ImportFrom) and node.module == "lp"], module
+        assert not [node for node in ast.walk(source) if _imports_lp(node)], module
 
 
 def test_bench_traced_names_resolve():

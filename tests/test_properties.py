@@ -2,12 +2,19 @@
 them at full case counts."""
 
 import props
+from oracles import random_prime_lambda
 
 N = 120
 
 
 def test_oracle_equivalence():
     props.run_oracle_equivalence(40)
+
+
+def test_oracle_equivalence_prime_denominators():
+    """Denominators are primes up to 97, so the scan's common denominator,
+    their lcm, has many factors."""
+    props.run_oracle_equivalence(40, seed=109, draw=random_prime_lambda)
 
 
 def test_permutation_invariance():

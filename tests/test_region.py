@@ -7,7 +7,7 @@ import pytest
 from golden import TABLES
 from oracles import (assert_feasible_point, closure_redundancy_lp,
                      superposition_feasibility_lp)
-from smdc import generator, region
+from smdc import region
 from smdc.errors import ResourceLimitError
 from smdc.generator import count_ordered
 from smdc.lp import Status, solve
@@ -59,9 +59,9 @@ def test_table_rows_are_remembered():
 def test_closure_reuses_ordered_f(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = generator.member_f_values
-    monkeypatch.setattr(generator, "member_f_values",
-                        lambda *row: calls.append(row) or real(*row))
+    real = region.f_vector
+    monkeypatch.setattr(region, "f_vector",
+                        lambda lam: calls.append(lam) or real(lam))
     assert len(list_inequalities(4, ordered_only=False)) == 53
     assert len(calls) == count_ordered(4) == 9
     list_inequalities(4, ordered_only=False)
@@ -71,24 +71,25 @@ def test_closure_reuses_ordered_f(monkeypatch):
 def test_interrupted_table_is_rebuilt(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = generator.member_f_values
+    real = region.f_vector
 
-    def interrupt_fifth(*row):
-        calls.append(row)
+    def interrupt_fifth(lam):
+        calls.append(lam)
         if len(calls) == 5:
             raise KeyboardInterrupt
-        return real(*row)
+        return real(lam)
 
-    monkeypatch.setattr(generator, "member_f_values", interrupt_fifth)
+    monkeypatch.setattr(region, "f_vector", interrupt_fifth)
     with pytest.raises(KeyboardInterrupt):
         list_inequalities(5)
     assert [(tuple(i.lam), i.f_values, i.theta) for i in list_inequalities(5)] == TABLES[5]
 
 
 def test_row_stream_matches_f_vector_and_theta_seq():
-    """Each row's f and theta from the walk equal the closed form's and those
-    recomputed from lambda: every row at L <= 10, and a stride at L = 11, 12
-    that reaches the zeta = L - 1 and zeta = L blocks."""
+    """Each row's f, scanned over the member's filled ordered view, and its
+    theta from the walk equal those recomputed from a fresh lambda: every row
+    at L <= 10, and a stride at L = 11, 12 that reaches the zeta = L - 1 and
+    zeta = L blocks."""
     def oracle(lam):
         fresh = LambdaVector(lam.components)
         return fresh.components, f_vector(fresh).values, fresh.theta_seq

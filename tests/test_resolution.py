@@ -5,9 +5,8 @@ import pytest
 from golden import TABLES
 from oracles import f_alpha_bruteforce, random_lambda
 from smdc.errors import ResourceLimitError
-from smdc.generator import generate_ordered
-from smdc.resolution import (LambdaVector, Resolution, _theta_scan, beta_star,
-                             f_alpha, f_vector, g_value, optimal_resolution,
+from smdc.resolution import (LambdaVector, Resolution, beta_star, f_alpha,
+                             f_vector, g_value, optimal_resolution,
                              verify_resolution)
 from smdc.rng import SplitMix64
 
@@ -63,17 +62,6 @@ def test_f_vector_incremental_matches_direct():
             for a in range(1, L + 1):
                 assert fv.values[a - 1] == f_alpha(lam, a)
                 assert fv.beta_stars[a - 1] == beta_star(lam, a)
-
-
-def test_theta_scan_stops_where_beta_scan_does():
-    # Equal f values cannot tell a tie stopped early from one passed over.
-    for L in range(1, 9):
-        for lam in generate_ordered(L):
-            beta, betas = 0, []
-            for alpha in range(1, L + 1):
-                beta = _theta_scan(lam.theta_seq, alpha, beta)
-                betas.append(beta)
-            assert tuple(betas) == f_vector(lam).beta_stars, lam
 
 
 def test_bruteforce_examples():
@@ -162,6 +150,10 @@ def test_optimal_resolution_round_trip_tables():
 
 
 def test_mask_string_and_column_sums_match_bit_definition():
+    def by_bits(res):
+        return tuple(sum((w for m, w in res.weights.items() if m >> i & 1), F(0))
+                     for i in range(res.L))
+
     rng = SplitMix64(70)
     for L in (1, 7, 70):
         masks = {sum(1 << i for i in range(L) if rng.randrange(3) == 0) | 1 << rng.randrange(L)
@@ -171,8 +163,10 @@ def test_mask_string_and_column_sums_match_bit_definition():
         for m in masks:
             assert res.mask_string(m) == "".join("1" if m >> i & 1 else "0"
                                                  for i in range(L))
-        assert res.column_sums() == tuple(
-            sum((w for m, w in res.weights.items() if m >> i & 1), F(0)) for i in range(L))
+        assert res.column_sums() == by_bits(res)
+    # weights over many distinct denominators: the sums share one lcm
+    res = optimal_resolution(tuple(F(1, k) for k in range(1, 201)), 100)
+    assert res.column_sums() == by_bits(res)
 
 
 def test_verify_resolution_rejects():
