@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .entropy import (chain_feasibility, check_chain_levels, entropy_vector,
-                      han_check, random_joint_distribution)
+from .entropy import (ResolutionChain, chain_feasibility, check_chain_levels,
+                      entropy_vector, han_check, random_joint_distribution)
 from .errors import ResourceLimitError
 from .fm import fourier_motzkin_region, systems_equivalent
 from .generator import check_bounds, generate_ordered
@@ -165,6 +165,10 @@ def _cmd_subset_entropy(args) -> int:
     check_chain_levels(args.levels)
     rng = SplitMix64(args.seed)
     members = generate_ordered(args.levels)
+    # Everything but the verdict depends on lambda only: built once per run.
+    chains = [ResolutionChain.coerce(lam) for lam in members]
+    lambdas = [[format_rational(c) for c in lam] for lam in members]
+    totals = [[format_rational(r.total()) for r in chain.resolutions] for chain in chains]
     failures = 0
     for trial in range(args.trials):
         jd = random_joint_distribution(rng, (2,) * args.levels)
@@ -173,16 +177,10 @@ def _cmd_subset_entropy(args) -> int:
         han = han_check(ev)
         _emit({"hash": digest, "trial": trial, "han": han})
         failures += not han
-        for lam in members:
-            holds, resolutions = chain_feasibility(lam, ev)
-            record = {
-                "hash": digest,
-                "lambda": [format_rational(c) for c in lam],
-                "holds": holds,
-                "alpha_totals": [format_rational(r.total()) for r in resolutions]
-                if resolutions else None,
-            }
-            _emit(record)
+        for chain, lam_text, alpha_totals in zip(chains, lambdas, totals):
+            holds, resolutions = chain_feasibility(chain, ev)
+            _emit({"hash": digest, "lambda": lam_text, "holds": holds,
+                   "alpha_totals": alpha_totals if resolutions else None})
             failures += not holds
     if failures:
         print(f"{failures} subset-entropy failures", file=sys.stderr)

@@ -2,20 +2,42 @@
 
 Joint entropies of every coordinate subset are rounded to rationals with
 denominator 2^40, so all downstream comparisons stay exact.  Over the common
-denominator D of the pmf, H(X_U) = log2 D - (sum W ln W) / (D ln 2) with
-integer marginal weights W, evaluated in stdlib decimal at 30 significant
-digits.  Each ln, product, sum and quotient there has relative error at most
-0.5e-29, so with at most 10^6 cells and D below 2^100 the result is off by
-under 1e-21 bits, over 10^8 times below half a 2^-40 step.
+denominator D of the pmf, with integer marginal weights W,
+H(X_U) = sum (W/D) log2(D/W), and its numerator over 2^40 is rounded to
+the nearest integer through a floating-point filter with an exact fallback.
+
+The filter evaluates that sum in floats: W/D and D/W correctly rounded
+(Python's int division), log2 from libm, one product per term and
+``math.fsum``.  Let u = 2^-53, let D be below 2^100 (so every W/D is a
+normal float), and let libm's log2 be within 4 ulp (relative error 8u).
+With p = W/D and l = log2(D/W) >= 0, rounding D/W moves the log by at most
+1.5u, so a term comes out as p(1+d1) (l + e)(1+d2)(1+d3) with |d1|, |d3| <= u,
+|d2| <= 8u and |e| <= 1.5u: off by at most 10.1u pl + 1.6u p.  The p sum to 1
+and fsum rounds once, so the estimate E is within 12u H + 2u of H, which is
+B = 2^-13 (12 H + 2) in units of 2^-40.  When E 2^40 lies farther than the
+margin M = 2^-12 (12 E + 16) from a half-integer, it is rounded directly:
+since H <= E + 1, M >= 2B, so the true value lies on the same side of that
+half-integer, more than B from it.  Otherwise, or for D of 2^100 or more,
+that mask is computed exactly as log2 D - (sum W ln W) / (D ln 2) in stdlib
+decimal at 30 significant digits.  Each ln, product, sum and quotient there
+has relative error at most 0.5e-29, so with at most 10^6 cells and D below
+2^100 the result is off by under 1e-21 bits, over 10^8 times below half a
+2^-40 step and far below B.  Both paths therefore round to the same integer,
+the one the exact path alone gives.  With at most 10^6 < 2^20 cells, H < 20
+and M < 1/16, so at most about one mask in eight takes the exact path; at
+H <= 4 bits, M <= 1/64.
 
 The chain of optimal resolutions is fixed, with no LP: the wrap-around ones,
 averaged over lambda's symmetry so that every step is Shannon-type, which
-the tests prove at L <= 4.  Han's inequality and the chain allow a 2^-30
-slack in the >= direction.  A chain step weighs at most f_{a-1} + f_a <= 12
-entropies at L <= 4, each off by under 2^-41 + 1e-21, so rounding moves it
-by under 2^-37, 128 times below the slack: a true instance never flips.
+the tests prove at L <= 4.  A ``ResolutionChain`` holds one member's chain,
+built once per run: its resolutions, and each step as one integer row over
+the masks, so that a check against an entropy vector is one integer dot
+product per step with the numerators over 2^40.  Han's inequality and the
+chain allow a 2^-30 slack in the >= direction.  A chain step weighs at most
+f_{a-1} + f_a <= 12 entropies at L <= 4, each off by under 2^-41 + 1e-21, so
+rounding moves it by under 2^-37, 128 times below the slack: a true instance
+never flips.
 """
-
 from __future__ import annotations
 
 import functools
@@ -23,20 +45,22 @@ import itertools
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, fsum, lcm, log2
 
 from .errors import ResourceLimitError
 from .resolution import LambdaVector, Resolution, optimal_resolution
 from .rng import SplitMix64, random_pmf
 
 ENTROPY_DENOM_BITS = 40
-COMPARISON_SLACK = Fraction(1, 1 << 30)
+_SLACK_UNITS = 1 << 10  # the comparison slack in units of 2^-40
+COMPARISON_SLACK = Fraction(_SLACK_UNITS, 1 << ENTROPY_DENOM_BITS)
 
 MAX_ENTROPY_LEVELS = 5
 MAX_ENTROPY_CELLS = 10 ** 6
 MAX_CHAIN_LEVELS = 4
 
 _WORK_DIGITS = 30
+_FILTER_DENOM_BITS = 100  # the float filter's bound holds for D below 2^100
 
 
 @dataclass(frozen=True)
@@ -78,6 +102,36 @@ class EntropyVector:
             return Fraction(0)
         return self.values[mask]
 
+    @functools.cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """2^40 H_u as an int for every mask u, the empty one included."""
+        scaled = []
+        for mask in range(1 << self.L):
+            h = self[mask] * (1 << ENTROPY_DENOM_BITS)
+            if h.denominator != 1:
+                raise ValueError("entropies must be multiples of 2^-40")
+            scaled.append(h.numerator)
+        return tuple(scaled)
+
+
+def _float_numerator(weights, denom: int) -> int | None:
+    """round(2^40 H) from the float estimate, or None where the module
+    docstring's bound cannot vouch for it: near a half-integer, or D too large."""
+    if denom >> _FILTER_DENOM_BITS:
+        return None
+    bits = fsum(w / denom * log2(denom / w) for w in weights)
+    scaled = bits * (1 << ENTROPY_DENOM_BITS)
+    if abs(scaled - floor(scaled) - 0.5) > (12 * bits + 16) / 4096:
+        return round(scaled)
+    return None
+
+
+def _exact_numerator(weights, denom: int, ln) -> int:
+    """round(2^40 H) in the current decimal context, with ``ln`` its logs."""
+    ln2 = ln(2)
+    bits = ln(denom) / ln2 - sum(w * ln(w) for w in weights) / (denom * ln2)
+    return int((bits * (1 << ENTROPY_DENOM_BITS)).to_integral_value())
+
 
 def entropy_vector(jd: JointDistribution) -> EntropyVector:
     """All marginal joint entropies of a distribution, deterministically rounded."""
@@ -97,31 +151,31 @@ def entropy_vector(jd: JointDistribution) -> EntropyVector:
     # A fresh context, so that the caller's decimal settings change no digit.
     with localcontext(Context(prec=_WORK_DIGITS, rounding=ROUND_HALF_EVEN)):
         ln = functools.cache(lambda n: Decimal(n).ln())  # per call, at this precision
-        ln2 = ln(2)
-        log2_denom = ln(denom) / ln2
-        denom_ln2 = denom * ln2
         for mask in range(1, 1 << L):
             coords = [i for i in range(L) if mask >> i & 1]
             marginal: dict[tuple[int, ...], int] = {}
             for outcome, w in weights.items():
                 key = tuple(outcome[i] for i in coords)
                 marginal[key] = marginal.get(key, 0) + w
-            bits = log2_denom - sum(w * ln(w) for w in marginal.values()) / denom_ln2
-            scaled = (bits * (1 << ENTROPY_DENOM_BITS)).to_integral_value()
-            values[mask] = Fraction(int(scaled), 1 << ENTROPY_DENOM_BITS)
+            scaled = _float_numerator(marginal.values(), denom)
+            if scaled is None:
+                scaled = _exact_numerator(marginal.values(), denom, ln)
+            values[mask] = Fraction(scaled, 1 << ENTROPY_DENOM_BITS)
     return EntropyVector(L, values)
 
 
 def han_check(ev: EntropyVector) -> bool:
-    """Averages of H over k-subsets, normalized by k, must fall with k."""
+    """Averages of H over k-subsets, normalized by k, must fall with k.
+
+    Level sums are added as numerators over 2^40 and the averages compared
+    cross-multiplied, all in ints."""
     L = ev.L
-    level_sum = [Fraction(0)] * (L + 1)
-    for mask, h in ev.values.items():
-        level_sum[bin(mask).count("1")] += h
+    level_sum = [0] * (L + 1)
+    for mask, n in enumerate(ev.numerators):
+        level_sum[bin(mask).count("1")] += n
     for a in range(2, L + 1):
-        lhs = level_sum[a - 1] / comb(L - 1, a - 2)
-        rhs = level_sum[a] / comb(L - 1, a - 1)
-        if lhs < rhs - COMPARISON_SLACK:
+        lower, upper = comb(L - 1, a - 2), comb(L - 1, a - 1)
+        if level_sum[a - 1] * upper < level_sum[a] * lower - _SLACK_UNITS * lower * upper:
             return False
     return True
 
@@ -155,24 +209,58 @@ def symmetric_resolution(lam, alpha: int) -> Resolution:
                                     for key, total in totals.items() for mask in orbits[key]})
 
 
-def chain_feasibility(lam, ev: EntropyVector) -> tuple[bool, list[Resolution] | None]:
+@dataclass(frozen=True)
+class ResolutionChain:
+    """A generator-set member's fixed chain, built once and checked against
+    any number of entropy vectors.
+
+    ``resolutions`` are ``symmetric_resolution``'s at alpha = 1..L.  Step a
+    requires sum w_{a-1}(m) H_m >= sum w_a(m) H_m - slack; it is kept as the
+    integer row c(m) = (w_{a-1}(m) - w_a(m)) den over the masks m, den the
+    lcm of those weight denominators, and the floor -den 2^40 slack, which
+    the dot product of c with the entropy numerators over 2^40 must reach.
+    """
+
+    L: int
+    resolutions: tuple[Resolution, ...]
+    steps: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+
+    @classmethod
+    def coerce(cls, value) -> "ResolutionChain":
+        """The chain itself, or the chain of a generator-set member lambda."""
+        if isinstance(value, cls):
+            return value
+        lv = LambdaVector.coerce(value)
+        check_chain_levels(lv.L)
+        if lv.theta_seq is None:
+            raise ValueError("lambda is not in the generator set")
+        resolutions = tuple(symmetric_resolution(lv, a) for a in range(1, lv.L + 1))
+        steps = []
+        for lower, upper in zip(resolutions, resolutions[1:]):
+            # the two levels' masks differ in weight, so they never overlap
+            diff = {**lower.weights, **{m: -w for m, w in upper.weights.items()}}
+            den = lcm(*(w.denominator for w in diff.values()))
+            row = tuple((m, w.numerator * (den // w.denominator)) for m, w in diff.items() if w)
+            steps.append((row, -den * _SLACK_UNITS))
+        return cls(lv.L, resolutions, tuple(steps))
+
+
+def chain_feasibility(chain, ev: EntropyVector) -> tuple[bool, tuple[Resolution, ...] | None]:
     """One optimal resolution per level whose entropy-weighted totals descend.
 
-    The resolutions are ``symmetric_resolution``'s, whatever the entropies;
+    ``chain`` is a ``ResolutionChain`` or a lambda to build one for; its
+    resolutions are ``symmetric_resolution``'s, whatever the entropies, and
     only generator-set members are accepted.  The tests prove each step
     Shannon-type at L <= 4, so it holds for every distribution.
     """
-    lv = LambdaVector.coerce(lam)
-    if lv.L != ev.L:
+    chain = ResolutionChain.coerce(chain)
+    if chain.L != ev.L:
         raise ValueError("lambda and entropy vector dimensions differ")
-    check_chain_levels(lv.L)
-    if lv.theta_seq is None:
-        raise ValueError("lambda is not in the generator set")
-    resolutions = [symmetric_resolution(lv, a) for a in range(1, lv.L + 1)]
-    sides = [sum((w * ev[m] for m, w in res.weights.items()), Fraction(0)) for res in resolutions]
-    if any(lower < upper - COMPARISON_SLACK for lower, upper in zip(sides, sides[1:])):
-        return False, None
-    return True, resolutions
+    numerators = ev.numerators
+    for row, least in chain.steps:
+        if sum(c * numerators[m] for m, c in row) < least:
+            return False, None
+    return True, chain.resolutions
 
 
 def random_joint_distribution(rng: SplitMix64, alphabet_sizes,

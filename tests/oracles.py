@@ -1,10 +1,14 @@
 """Reference implementations that only tests call."""
 
+import functools
 import itertools
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from smdc.entropy import COMPARISON_SLACK, EntropyVector, check_chain_levels
+from smdc.entropy import (_WORK_DIGITS, COMPARISON_SLACK, ENTROPY_DENOM_BITS,
+                          MAX_ENTROPY_CELLS, MAX_ENTROPY_LEVELS, EntropyVector,
+                          JointDistribution, check_chain_levels)
 from smdc.errors import ResourceLimitError
 from smdc.fm import _implied_homogeneous
 from smdc.lp import LinearProgram, LpResult, Relation, Sense, Status, solve
@@ -247,6 +251,42 @@ def chain_feasibility_lp(lam, ev: EntropyVector) -> tuple[bool, list[Resolution]
                    if result.point[offsets[a] + j]}
         resolutions.append(Resolution(L, a, weights))
     return True, resolutions
+
+
+def entropy_vector_decimal(jd: JointDistribution) -> EntropyVector:
+    """All marginal joint entropies of a distribution, deterministically rounded.
+
+    Every entropy through stdlib decimal at 30 digits: the rounding that
+    smdc.entropy.entropy_vector's float filter must reproduce."""
+    L = jd.L
+    if L > MAX_ENTROPY_LEVELS:
+        raise ResourceLimitError(f"entropy vectors limited to L <= {MAX_ENTROPY_LEVELS}")
+    cells = 1
+    for s in jd.alphabet_sizes:
+        cells *= s
+    if cells > MAX_ENTROPY_CELLS:
+        raise ResourceLimitError("alphabet product exceeds the cell budget")
+
+    denom = lcm(*(p.denominator for p in jd.pmf.values()))
+    weights = {outcome: p.numerator * (denom // p.denominator)
+               for outcome, p in jd.pmf.items() if p}
+    values: dict[int, Fraction] = {}
+    # A fresh context, so that the caller's decimal settings change no digit.
+    with localcontext(Context(prec=_WORK_DIGITS, rounding=ROUND_HALF_EVEN)):
+        ln = functools.cache(lambda n: Decimal(n).ln())  # per call, at this precision
+        ln2 = ln(2)
+        log2_denom = ln(denom) / ln2
+        denom_ln2 = denom * ln2
+        for mask in range(1, 1 << L):
+            coords = [i for i in range(L) if mask >> i & 1]
+            marginal: dict[tuple[int, ...], int] = {}
+            for outcome, w in weights.items():
+                key = tuple(outcome[i] for i in coords)
+                marginal[key] = marginal.get(key, 0) + w
+            bits = log2_denom - sum(w * ln(w) for w in marginal.values()) / denom_ln2
+            scaled = (bits * (1 << ENTROPY_DENOM_BITS)).to_integral_value()
+            values[mask] = Fraction(int(scaled), 1 << ENTROPY_DENOM_BITS)
+    return EntropyVector(L, values)
 
 
 def elemental_inequalities(L: int) -> list[dict[int, int]]:

@@ -372,6 +372,23 @@ def test_stdout_digests(capsys):
     assert changed == []
 
 
+# sha256 over the stdout of `subset-entropy --levels L --trials 3 --seed s`
+# for L = 2, 3, 4 and, within each L, s = 0..29, concatenated in that order.
+SUBSET_ENTROPY_SEEDS_SHA256 = \
+    "29788a548359fb5c160d1569063f04423b85920cf31cb91dfb4a07d08ff0648e"
+
+
+def test_subset_entropy_digest_over_seeds(capsys):
+    digest = hashlib.sha256()
+    for levels in ("2", "3", "4"):
+        for seed in range(30):
+            code, out, _ = run_cli(capsys, "subset-entropy", "--levels", levels,
+                                   "--trials", "3", "--seed", str(seed))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == SUBSET_ENTROPY_SEEDS_SHA256
+
+
 def test_verify_equivalence_negative_trials(capsys):
     code, out, err = run_cli(capsys, "verify-equivalence", "--levels", "2",
                              "--trials", "-5", "--seed", "1")

@@ -1,15 +1,19 @@
+import dataclasses
 import decimal
 import hashlib
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from oracles import (chain_feasibility_lp, elemental_inequalities, is_monotone,
-                     is_submodular, uniform_resolution)
+from oracles import (chain_feasibility_lp, elemental_inequalities, entropy_vector_decimal,
+                     is_monotone, is_submodular, uniform_resolution)
+from smdc import entropy
 from smdc.entropy import (COMPARISON_SLACK, MAX_CHAIN_LEVELS, EntropyVector,
-                          JointDistribution, chain_feasibility, entropy_vector,
-                          han_check, random_joint_distribution, symmetric_resolution)
+                          JointDistribution, ResolutionChain, chain_feasibility,
+                          entropy_vector, han_check, random_joint_distribution,
+                          symmetric_resolution)
 from smdc.errors import ResourceLimitError
 from smdc.generator import generate_ordered
 from smdc.lp import LinearProgram, Relation, Sense, Status, solve
@@ -52,9 +56,38 @@ def test_entropy_values_pinned():
         "dae613d12c36428b911a2782a697d134a4506f941fdecc314e0e453eb1ba6478"
 
 
-def test_entropy_vector_keeps_no_module_state():
-    from smdc import entropy
+def _wide_pmf(rng, sizes, bits):
+    """A pmf whose weights have about ``bits`` bits, beyond what randrange draws."""
+    cells = list(itertools.product(*(range(s) for s in sizes)))
+    weights = [(rng.next_u64() << 64 | rng.next_u64()) >> (128 - bits) for _ in cells]
+    return JointDistribution(sizes, {c: F(w, sum(weights)) for c, w in zip(cells, weights)})
 
+
+def test_float_filter_matches_the_decimal_oracle(monkeypatch):
+    exact_calls = []
+    exact = entropy._exact_numerator
+    monkeypatch.setattr(entropy, "_exact_numerator",
+                        lambda *args: exact_calls.append(1) or exact(*args))
+    rng = SplitMix64(23)
+    pmfs = [random_joint_distribution(rng, sizes, bits)
+            for L in range(1, 6)
+            for sizes in ((2,) * L, tuple(2 + i % 2 for i in range(L)))
+            for bits in (4, 16, 30)
+            for _ in range(3)]
+    for jd in pmfs:
+        assert entropy_vector(jd).values == entropy_vector_decimal(jd).values, jd
+    assert 0 < len(exact_calls) < sum((1 << jd.L) - 1 for jd in pmfs)  # both branches ran
+    # D just below 2^100, where the float bound still holds, and past it, as
+    # far as D/W overflowing a float
+    wide = [_wide_pmf(rng, (2,) * L, bits) for L in (2, 3, 4) for bits in (95, 96, 99)]
+    wide.append(JointDistribution((2, 2), {(0, 0): F(1, 2 ** 1100), (1, 1): 1 - F(1, 2 ** 1100)}))
+    past = [lcm(*(p.denominator for p in jd.pmf.values())) >> 100 > 0 for jd in wide]
+    assert any(past) and not all(past)
+    for jd in wide:
+        assert entropy_vector(jd).values == entropy_vector_decimal(jd).values, jd
+
+
+def test_entropy_vector_keeps_no_module_state():
     def sizes():
         return {name: len(value) for name, value in vars(entropy).items()
                 if isinstance(value, (dict, list, set))}
@@ -91,6 +124,11 @@ def test_han_examples():
         assert han_check(entropy_vector(_uniform_bits(L)))
     chain = JointDistribution((2, 2, 2), {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)})
     assert han_check(entropy_vector(chain))
+    # the slack is exact: H_123 may exceed the pairs' Han average, 3, by 2^-30
+    # and not by a 2^-40 step more
+    values = entropy_vector(_uniform_bits(3)).values
+    assert han_check(EntropyVector(3, {**values, 7: 3 + COMPARISON_SLACK}))
+    assert not han_check(EntropyVector(3, {**values, 7: 3 + COMPARISON_SLACK + F(1, 2 ** 40)}))
 
 
 def test_chain_feasibility_examples():
@@ -111,6 +149,13 @@ def test_chain_feasibility_examples():
     not_subadditive = EntropyVector(2, {1: F(1), 2: F(1), 3: F(2) + 2 * COMPARISON_SLACK})
     assert chain_feasibility((1, 1), not_subadditive) == (False, None)
     assert chain_feasibility_lp((1, 1), not_subadditive) == (False, None)
+
+    # the last step of (1,1,1), whose row has denominator 2, holds at exactly
+    # -2^-30 and fails one 2^-40 step past it
+    at_slack = EntropyVector(3, {**ev.values, 7: 3 + COMPARISON_SLACK})
+    assert chain_feasibility((1, 1, 1), at_slack)[0]
+    past_slack = EntropyVector(3, {**ev.values, 7: 3 + COMPARISON_SLACK + F(1, 2 ** 40)})
+    assert chain_feasibility((1, 1, 1), past_slack) == (False, None)
 
 
 def test_chain_feasibility_table_member_level4():
@@ -148,6 +193,28 @@ def test_chain_steps_are_shannon_type():
     for member, gap in (((1, 1, 1, 1), F(-1, 3)), ((F(3, 2), 1, 1, 1), F(-1, 4))):
         lower, upper = (optimal_resolution(member, a) for a in (2, 3))
         assert _shannon_minimum(4, lower, upper) == gap
+
+
+def test_reversed_chain_is_rejected():
+    # each step that is not identically zero, negated, fails on some pmf: the
+    # check can reject, so its passing on every pmf says something
+    rng = SplitMix64(31)
+    for L in range(2, MAX_CHAIN_LEVELS + 1):
+        evs = [entropy_vector(random_joint_distribution(rng, (2,) * L)) for _ in range(4)]
+        reversed_steps = 0
+        for member in generate_ordered(L):
+            chain = ResolutionChain.coerce(member)
+            assert all(chain_feasibility(chain, ev)[0] for ev in evs)
+            for k, (row, least) in enumerate(chain.steps):
+                if not row:
+                    continue
+                steps = list(chain.steps)
+                steps[k] = (tuple((m, -c) for m, c in row), least)
+                reversed_chain = dataclasses.replace(chain, steps=tuple(steps))
+                assert not all(chain_feasibility(reversed_chain, ev)[0] for ev in evs), \
+                    (member, k)
+                reversed_steps += 1
+        assert reversed_steps == {2: 2, 3: 7, 4: 24}[L]  # 4 of 37 rows are zero
 
 
 def test_symmetric_resolution_is_optimal_and_symmetric():
