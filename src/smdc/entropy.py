@@ -185,28 +185,35 @@ def check_chain_levels(L: int) -> None:
         raise ResourceLimitError(f"chain feasibility limited to L <= {MAX_CHAIN_LEVELS}")
 
 
-def symmetric_resolution(lam, alpha: int) -> Resolution:
+def _orbits(lv: LambdaVector) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], list[int]]]:
+    """Each mask's orbit under the permutations that fix lambda, keyed by its
+    count in every block of equal components, and the masks of every key."""
+    blocks: dict[Fraction, int] = {}
+    for i, c in enumerate(lv):
+        blocks[c] = blocks.get(c, 0) | 1 << i
+    keys = [tuple(bin(mask & block).count("1") for block in blocks.values())
+            for mask in range(1 << lv.L)]
+    members: dict[tuple[int, ...], list[int]] = {}
+    for mask, key in enumerate(keys):
+        members.setdefault(key, []).append(mask)
+    return keys, members
+
+
+def symmetric_resolution(lam, alpha: int, orbits=None) -> Resolution:
     """``optimal_resolution`` averaged over the permutations that fix lambda,
     those within each block of equal components: each weight-alpha mask gets
     the mean weight of the masks with its count in every block.  An average
     of optimal resolutions is optimal: its column sums stay at most lambda
-    and its total stays f_alpha.  Walks all 2^L masks, so L must be small."""
+    and its total stays f_alpha.  ``orbits`` is ``_orbits(lambda)``, which a
+    caller averaging at several alpha computes once.  Walks all 2^L masks, so
+    L must be small."""
     lv = LambdaVector.coerce(lam)
-    blocks = {c: sum(1 << i for i, d in enumerate(lv) if d == c) for c in lv}.values()
-
-    def orbit(mask: int) -> tuple[int, ...]:
-        return tuple(bin(mask & block).count("1") for block in blocks)
-
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for mask in range(1 << lv.L):
-        if bin(mask).count("1") == alpha:
-            orbits.setdefault(orbit(mask), []).append(mask)
+    keys, members = orbits or _orbits(lv)
     totals: dict[tuple[int, ...], Fraction] = {}
     for mask, w in optimal_resolution(lv, alpha).weights.items():
-        key = orbit(mask)
-        totals[key] = totals.get(key, Fraction(0)) + w
-    return Resolution(lv.L, alpha, {mask: total / len(orbits[key])
-                                    for key, total in totals.items() for mask in orbits[key]})
+        totals[keys[mask]] = totals.get(keys[mask], Fraction(0)) + w
+    return Resolution(lv.L, alpha, {mask: total / len(members[key])
+                                    for key, total in totals.items() for mask in members[key]})
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,8 @@ class ResolutionChain:
         check_chain_levels(lv.L)
         if lv.theta_seq is None:
             raise ValueError("lambda is not in the generator set")
-        resolutions = tuple(symmetric_resolution(lv, a) for a in range(1, lv.L + 1))
+        orbits = _orbits(lv)
+        resolutions = tuple(symmetric_resolution(lv, a, orbits) for a in range(1, lv.L + 1))
         steps = []
         for lower, upper in zip(resolutions, resolutions[1:]):
             # the two levels' masks differ in weight, so they never overlap

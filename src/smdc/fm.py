@@ -21,24 +21,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 from operator import ge
 
 from .errors import ResourceLimitError
 from .lp import LinearProgram, Relation, Status, solve
-from .region import Inequality
+from .region import Inequality, primitive
 from .resolution import LambdaVector
 
 MAX_FM_LEVELS = 4
-
-
-def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-    if g > 1:
-        return tuple(a // g for a in row)
-    return row
 
 
 def _project_allocation_system(L: int) -> list[tuple[int, ...]]:
@@ -81,7 +71,7 @@ def _project_allocation_system(L: int) -> list[tuple[int, ...]]:
     remaining = [r_col(l, a) for l in range(L) for a in range(2, L + 1)]
     work: dict[tuple[int, ...], frozenset[int]] = {}
     for i, row in enumerate(rows):
-        key = _primitive(tuple(row))
+        key = primitive(tuple(row))
         if any(key):
             work.setdefault(key, frozenset([i]))
 
@@ -108,7 +98,7 @@ def _project_allocation_system(L: int) -> list[tuple[int, ...]]:
             hist = hp | hn
             if len(hist) > eliminated + 1:
                 continue  # ancestor-count cutoff: such a row is redundant
-            combo = _primitive(tuple(rp[k] * -rn[col] + rn[k] * rp[col] for k in range(ncols)))
+            combo = primitive(tuple(rp[k] * -rn[col] + rn[k] * rp[col] for k in range(ncols)))
             if any(combo) and (combo not in keep or len(keep[combo]) > len(hist)):
                 keep[combo] = hist
         work = _dominate(keep, protected_cols=set(remaining))
@@ -172,13 +162,15 @@ def _minimize_system(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _row_to_inequality(row: tuple[int, ...], L: int) -> Inequality:
+    """The projected row as an Inequality; being primitive, it is the
+    Inequality's integer row as it stands."""
     lam = tuple(Fraction(c) for c in row[:L])
     f = tuple(Fraction(-c) for c in row[L:])
     if any(c < 0 for c in lam) or any(v < 0 for v in f) or not any(lam):
         raise AssertionError(f"projected row is not region-shaped: {row}")
     scale = min(c for c in lam if c)
     lv = LambdaVector(tuple(c / scale for c in lam))
-    return Inequality(lv, tuple(v / scale for v in f))
+    return Inequality(lv, tuple(v / scale for v in f), row)
 
 
 def _inequality_sort_key(ineq: Inequality):
@@ -197,18 +189,9 @@ def fourier_motzkin_region(L: int) -> list[Inequality]:
     return sorted(ineqs, key=_inequality_sort_key)
 
 
-def inequality_to_row(ineq: Inequality) -> tuple[int, ...]:
-    """(lambda | -f) as a primitive integer vector over the (R, H) columns."""
-    values = list(ineq.lam.components) + [-v for v in ineq.f_values]
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    return _primitive(tuple(int(v * scale) for v in values))
-
-
 def systems_equivalent(a: list[Inequality], b: list[Inequality]) -> bool:
     """Mutual implication over the nonnegative (R, H) cone; shared rows need no LP."""
-    rows_a = [inequality_to_row(i) for i in a]
-    rows_b = [inequality_to_row(i) for i in b]
+    rows_a = [i.row for i in a]
+    rows_b = [i.row for i in b]
     return (all(_implied_homogeneous(r, rows_b) for r in set(rows_a).difference(rows_b))
             and all(_implied_homogeneous(r, rows_a) for r in set(rows_b).difference(rows_a)))

@@ -16,7 +16,7 @@ theta-chain counts, without materializing any vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -27,17 +27,31 @@ MAX_EXPAND_L = 7
 MAX_COUNT_L = 1000
 
 
-def _full_support(components: tuple[Fraction, ...], total: Fraction,
-                  theta_seq: tuple[int, ...], remaining: int) -> Iterator[tuple]:
+def _full_support(components: tuple[Fraction, ...], total: tuple[int, int],
+                  theta_seq: tuple[int, ...], remaining: int,
+                  shared: dict) -> Iterator[tuple]:
     """Depth-first walk below a full-support tail: its components, their sum
-    and its thetas, bottom-up as ``LambdaVector.theta_seq`` stores them."""
+    and its thetas, bottom-up as ``LambdaVector.theta_seq`` stores them.
+
+    The sum is carried as (num, den) in lowest terms, so each step is integer
+    arithmetic: with g = gcd(num, t) and h = gcd(t + 1, den), the new
+    component total/t is (num/g) / (den t/g) and the new sum total (t+1)/t
+    is (num/g)((t+1)/h) / ((den/h)(t/g)), both in lowest terms because num,
+    den and t, t+1 are coprime.  Equal components share one Fraction through
+    ``shared``."""
     if remaining == 0:
         yield components, theta_seq
         return
+    num, den = total
     for t in range(theta_seq[-1] + 1 if theta_seq else 1, 0, -1):
-        part = total / t
-        yield from _full_support((part,) + components, total + part,
-                                 theta_seq + (t,), remaining - 1)
+        g, h = gcd(num, t), gcd(t + 1, den)
+        key = (num // g, den * (t // g))
+        part = shared.get(key)
+        if part is None:
+            part = shared[key] = Fraction(*key)
+        yield from _full_support((part,) + components,
+                                 (num // g * ((t + 1) // h), den // h * (t // g)),
+                                 theta_seq + (t,), remaining - 1, shared)
 
 
 def _check_levels(L: int) -> None:
@@ -47,9 +61,10 @@ def _check_levels(L: int) -> None:
 
 def _members(L: int) -> Iterator[LambdaVector]:
     one, zero = Fraction(1), Fraction(0)
+    shared: dict[tuple[int, int], Fraction] = {}
     for zeta in range(1, L + 1):
         zeros = (zero,) * (L - zeta)
-        for comps, theta_seq in _full_support((one,), one, (), zeta - 1):
+        for comps, theta_seq in _full_support((one,), (1, 1), (), zeta - 1, shared):
             yield LambdaVector.member(comps + zeros, theta_seq)
 
 
@@ -57,8 +72,9 @@ def iter_ordered(L: int) -> Iterator[LambdaVector]:
     """Stream the ordered members for L levels in canonical order.
 
     L is checked when this is called, not when the stream is first read.
-    Memory stays O(L): each zeta block is a depth-first walk of the recursion
-    tree, so large L never holds the full (super-exponential) set at once.
+    Memory stays O(L) plus one Fraction per distinct component value (1,105
+    at L=12): each zeta block is a depth-first walk of the recursion tree, so
+    large L never holds the full (super-exponential) set at once.
     """
     _check_levels(L)
     return _members(L)

@@ -17,8 +17,9 @@ certified by cutting planes over the ordered rows; every witness is checked.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator
 
@@ -26,24 +27,54 @@ from .errors import ResourceLimitError
 from .generator import expand_permutations, iter_ordered
 from .lp import LinearProgram, Relation, Sense, Status, solve
 from .ratio import format_rational
-from .resolution import LambdaVector, f_vector
+from .resolution import LambdaVector, scaled_row
 
 MAX_LP_LEVELS = 12
 MAX_REMEMBERED_L = 10
 MAX_REDUNDANCY_LEVELS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inequality:
-    """One halfspace of the region; f is recomputable from lam."""
+    """One halfspace of the region; f is recomputable from lam.
+
+    ``row`` is (lambda | -f) as a primitive integer vector over the (R, H)
+    columns, so lambda . R >= f . H exactly when row . (R | H) >= 0.  Rows
+    built from lambda take it from ``scaled_row``'s integer pass; any other
+    inequality rescales its Fractions once, when ``row`` is first read.
+    """
 
     lam: LambdaVector
     f_values: tuple[Fraction, ...]
+    _row: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_lambda(cls, lam) -> "Inequality":
+    def from_lambda(cls, lam, shared: dict | None = None) -> "Inequality":
+        """lambda's row, f and integer form both from one ``scaled_row`` pass;
+        equal ints and equal f values share one object through ``shared``."""
         lv = LambdaVector.coerce(lam)
-        return cls(lv, f_vector(lv).values)
+        ints, D = scaled_row(lv)
+        if shared is None:
+            shared = {}
+        f = []
+        for v in ints[lv.L:]:
+            g = gcd(v, D)
+            key = (-v // g, D // g)
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = Fraction(*key)
+            f.append(value)
+        row = primitive(ints)
+        return cls(lv, tuple(f), tuple(map(shared.setdefault, row, row)))
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        if self._row is None:
+            values = (*self.lam, *(-v for v in self.f_values))
+            d = lcm(*(v.denominator for v in values))
+            object.__setattr__(self, "_row", primitive(
+                [v.numerator * (d // v.denominator) for v in values]))
+        return self._row
 
     @property
     def L(self) -> int:
@@ -139,6 +170,12 @@ class MembershipVerdict:
         return {"achievable": self.achievable, "method": self.method, "witness": witness}
 
 
+def primitive(ints) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
 _TABLES: dict[int, tuple[list[Inequality], Iterator[tuple], dict]] = {}
 _TABLES_LOCK = threading.Lock()
 
@@ -146,14 +183,16 @@ _TABLES_LOCK = threading.Lock()
 def ordered_inequalities(L: int) -> Iterator[Inequality]:
     """The ordered rows S_L^0 in canonical order, computed as they are read.
 
-    L is checked first; each row's f comes from ``f_vector``.  For L <=
-    MAX_REMEMBERED_L the rows are remembered: later reads replay them, each
-    row is built once per process, and equal f values share one Fraction to
-    keep the tables small.  Larger L is streamed.
+    L is checked first; each row comes from ``Inequality.from_lambda``, and
+    equal ints and f values share one object.  For L <= MAX_REMEMBERED_L the
+    rows are remembered: later reads replay them and each row is built once
+    per process.  Larger L is streamed; its shared values (3,775 at L=12)
+    are kept until the stream is dropped.
     """
     members = iter_ordered(L)
     if L > MAX_REMEMBERED_L:
-        return map(Inequality.from_lambda, members)
+        shared: dict = {}
+        return (Inequality.from_lambda(lv, shared) for lv in members)
     return _replay(L, *_TABLES.setdefault(L, ([], members, {})))
 
 
@@ -163,10 +202,7 @@ def _replay(L: int, rows: list, members: Iterator, shared: dict) -> Iterator[Ine
         with _TABLES_LOCK:  # one reader at a time extends a table
             if i == len(rows):
                 try:
-                    lv = next(members)
-                    f = tuple(shared.setdefault(v.as_integer_ratio(), v)
-                              for v in f_vector(lv).values)
-                    rows.append(Inequality(lv, f))
+                    rows.append(Inequality.from_lambda(next(members), shared))
                 except StopIteration:
                     return
                 except BaseException:
@@ -197,12 +233,20 @@ def check_achievable_inequalities(query: RateQuery) -> MembershipVerdict:
 
     Descending lambda against ascending rates is the permutation minimizing
     the pairing, so these S_L^0 tests cover the whole permutation closure.
-    The witness, when violated, is mapped back to the caller's rate order.
+    The query is scaled once to integers, the rates by dR dH and the
+    entropies by dH dR (dR, dH the lcms of their denominators), so each row
+    is one integer dot product with its primitive ``row``, negative exactly
+    when the row is violated.  The witness, when violated, is mapped back to
+    the caller's rate order.
     """
     order = sorted(range(query.L), key=lambda i: (query.rates[i], i))
-    sorted_rates = [query.rates[i] for i in order]
+    rates = [query.rates[i] for i in order]
+    d_rates = lcm(*(r.denominator for r in rates))
+    d_entropies = lcm(*(h.denominator for h in query.entropies))
+    point = [r.numerator * (d_rates // r.denominator) * d_entropies for r in rates] + \
+        [h.numerator * (d_entropies // h.denominator) * d_rates for h in query.entropies]
     for row in ordered_inequalities(query.L):
-        if row.lhs(sorted_rates) < row.rhs(query.entropies):
+        if sum(map(mul, row.row, point)) < 0:
             rank = sorted(range(query.L), key=order.__getitem__)
             witness = Inequality(row.lam.permuted(rank), row.f_values)
             return MembershipVerdict(False, "ineq", witness_inequality=witness)

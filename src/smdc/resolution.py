@@ -10,8 +10,9 @@ total weight.  The closed form evaluates tail averages
 and takes the minimum over beta, which a forward scan locates because g is
 pseudo-convex in beta.  The scan runs on integer suffix sums over one common
 denominator, the lcm of the component denominators, and is the only source of
-f: ``f_vector``, ``f_alpha``, ``beta_star``, ``g_value`` and the period of
-``optimal_resolution`` all read it.  An optimal resolution is built from the
+f: ``f_vector``, ``f_alpha``, ``beta_star``, ``g_value``, the period of
+``optimal_resolution`` and the integer region row of ``scaled_row`` all
+read it.  An optimal resolution is built from the
 scan stop by McNaughton's wrap-around rule, without an LP; the defining LP is
 kept as an independent oracle in the tests.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 _ZERO = Fraction(0)
@@ -61,8 +63,8 @@ class LambdaVector:
         (zeros last) and whose theta-sequence the caller holds: both caches
         are filled instead of being recomputed."""
         lv = cls(components)
-        lv.__dict__["sorted_desc"] = lv.components
-        lv.__dict__["theta_seq"] = theta_seq
+        object.__setattr__(lv, "sorted_desc", lv.components)
+        object.__setattr__(lv, "theta_seq", theta_seq)
         return lv
 
     @property
@@ -177,14 +179,13 @@ class Resolution:
         return format(mask, f"0{self.L}b")[::-1]
 
 
-def _suffix_sums(sorted_desc: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """(suffix, d): suffix[b] / d = sum of components at ordered positions
-    b+1..L (1-based), with d the lcm of the component denominators."""
-    d = lcm(*(c.denominator for c in sorted_desc))
-    suffix = [0]
-    for c in reversed(sorted_desc):
-        suffix.append(suffix[-1] + c.numerator * (d // c.denominator))
-    return suffix[::-1], d
+def _suffix_sums(components: tuple[Fraction, ...]) -> tuple[list[int], int, list[int]]:
+    """(suffix, d, ints): ints are the components times d, the lcm of their
+    denominators, in the given order, and suffix[b] / d is the sum of the
+    components at ordered positions b+1..L (1-based), the L - b smallest."""
+    d = lcm(*(c.denominator for c in components))
+    ints = [c.numerator * (d // c.denominator) for c in components]
+    return list(accumulate(sorted(ints), initial=0))[::-1], d, ints
 
 
 def _check_alpha(L: int, alpha: int) -> None:
@@ -198,7 +199,7 @@ def g_value(lam, alpha: int, beta: int) -> Fraction:
     _check_alpha(lv.L, alpha)
     if not 0 <= beta <= alpha - 1:
         raise ValueError(f"beta must be in 0..{alpha - 1}, got {beta}")
-    suffix, d = _suffix_sums(lv.sorted_desc)
+    suffix, d, _ = _suffix_sums(lv.components)
     return Fraction(suffix[beta], d * (alpha - beta))
 
 
@@ -215,31 +216,47 @@ def beta_star(lam, alpha: int) -> int:
     """Smallest minimizer of g over beta in 0..alpha-1, by forward scan."""
     lv = LambdaVector.coerce(lam)
     _check_alpha(lv.L, alpha)
-    return _beta_scan(_suffix_sums(lv.sorted_desc)[0], alpha)
+    return _beta_scan(_suffix_sums(lv.components)[0], alpha)
 
 
 def f_alpha(lam, alpha: int) -> Fraction:
     """Closed-form optimum of the alpha-resolution program: g at the scan stop."""
     lv = LambdaVector.coerce(lam)
     _check_alpha(lv.L, alpha)
-    suffix, d = _suffix_sums(lv.sorted_desc)
+    suffix, d, _ = _suffix_sums(lv.components)
     beta = _beta_scan(suffix, alpha)
     return Fraction(suffix[beta], d * (alpha - beta))
 
 
-def f_vector(lam) -> FVector:
-    """All f values at once; each scan resumes where the previous one stopped
-    (the minimizers are weakly increasing in alpha)."""
-    lv = LambdaVector.coerce(lam)
-    suffix, d = _suffix_sums(lv.sorted_desc)
-    values: list[Fraction] = []
+def _scan(lv: LambdaVector) -> tuple[list[int], int, list[int], list[int]]:
+    """``_suffix_sums`` of lambda and the scan stop at each alpha; each scan
+    resumes where the previous one stopped (the minimizers are weakly
+    increasing in alpha)."""
+    suffix, d, ints = _suffix_sums(lv.components)
     betas: list[int] = []
     beta = 0
     for alpha in range(1, lv.L + 1):
         beta = _beta_scan(suffix, alpha, start=beta)
-        values.append(Fraction(suffix[beta], d * (alpha - beta)))
         betas.append(beta)
-    return FVector(tuple(values), tuple(betas))
+    return suffix, d, ints, betas
+
+
+def f_vector(lam) -> FVector:
+    """All f values at once, from one scan."""
+    suffix, d, _, betas = _scan(LambdaVector.coerce(lam))
+    return FVector(tuple(Fraction(suffix[b], d * (a - b)) for a, b in enumerate(betas, 1)),
+                   tuple(betas))
+
+
+def scaled_row(lam) -> tuple[list[int], int]:
+    """(ints, D): D (lambda | -f(lambda)) as integers, lambda in the caller's
+    component order, from the same scan as ``f_vector``.  D is d times the
+    lcm of the scan's alpha - beta*, so f_alpha = -ints[L + alpha - 1] / D."""
+    suffix, d, ints, betas = _scan(LambdaVector.coerce(lam))
+    spans = [a - b for a, b in enumerate(betas, 1)]
+    m = lcm(*spans)
+    return ([v * m for v in ints]
+            + [-suffix[b] * (m // s) for b, s in zip(betas, spans)]), d * m
 
 
 def optimal_resolution(lam, alpha: int) -> Resolution:
@@ -267,7 +284,7 @@ def optimal_resolution(lam, alpha: int) -> Resolution:
     _check_alpha(lv.L, alpha)
     if alpha > lv.zeta:
         return Resolution(lv.L, alpha, {})
-    suffix, d = _suffix_sums(lv.sorted_desc)
+    suffix, d, _ = _suffix_sums(lv.components)
     beta = _beta_scan(suffix, alpha)
     period = Fraction(suffix[beta], d * (alpha - beta))
     mask = 0  # the components that meet offset 0

@@ -13,7 +13,8 @@ from smdc.errors import ResourceLimitError
 from smdc.fm import _implied_homogeneous
 from smdc.lp import LinearProgram, LpResult, Relation, Sense, Status, solve
 from smdc.ratio import format_rational
-from smdc.region import list_inequalities
+from smdc.region import (Inequality, MembershipVerdict, RateQuery, list_inequalities,
+                         ordered_inequalities)
 from smdc.resolution import LambdaVector, Resolution, _check_alpha, f_vector
 from smdc.rng import random_fraction
 
@@ -78,6 +79,24 @@ def greedy_minimize_system(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]
         if _implied_homogeneous(row, others):
             kept = others
     return kept
+
+
+def check_achievable_inequalities_fraction(query: RateQuery) -> MembershipVerdict:
+    """Test the ordered inequalities against ascending-sorted rates.
+
+    Descending lambda against ascending rates is the permutation minimizing
+    the pairing, so these S_L^0 tests cover the whole permutation closure.
+    The witness, when violated, is mapped back to the caller's rate order.
+    Each row is two Fraction dot products; the library scans integer rows.
+    """
+    order = sorted(range(query.L), key=lambda i: (query.rates[i], i))
+    sorted_rates = [query.rates[i] for i in order]
+    for row in ordered_inequalities(query.L):
+        if row.lhs(sorted_rates) < row.rhs(query.entropies):
+            rank = sorted(range(query.L), key=order.__getitem__)
+            witness = Inequality(row.lam.permuted(rank), row.f_values)
+            return MembershipVerdict(False, "ineq", witness_inequality=witness)
+    return MembershipVerdict(True, "ineq")
 
 
 def superposition_feasibility_lp(query) -> LinearProgram:

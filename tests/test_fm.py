@@ -7,8 +7,7 @@ import pytest
 from oracles import greedy_minimize_system
 from smdc import cli, fm
 from smdc.errors import ResourceLimitError
-from smdc.fm import (fourier_motzkin_region, inequality_to_row,
-                     systems_equivalent)
+from smdc.fm import fourier_motzkin_region, systems_equivalent
 from smdc.lp import solve
 from smdc.region import Inequality, list_inequalities
 from smdc.resolution import LambdaVector
@@ -52,7 +51,7 @@ def test_equivalence_is_sensitive():
 
 def test_inequality_row_encoding():
     ineq = next(i for i in list_inequalities(3) if tuple(i.lam) == (1, 1, 1))
-    assert inequality_to_row(ineq) == (2, 2, 2, -6, -3, -2)
+    assert ineq.row == (2, 2, 2, -6, -3, -2)
 
 
 def count_solves(monkeypatch) -> list:
@@ -74,7 +73,7 @@ def test_orbit_minimization_matches_greedy_oracle():
 
 def test_projection_closed_under_rate_permutations():
     for L in range(1, 5):
-        rows = {inequality_to_row(i) for i in fourier_motzkin_region(L)}
+        rows = {i.row for i in fourier_motzkin_region(L)}
         for row in rows:
             for perm in itertools.permutations(row[:L]):
                 assert perm + row[L:] in rows, (L, row)
@@ -100,7 +99,7 @@ def test_equivalence_lp_path(monkeypatch):
     a, b = gen[0], gen[-1]
     total = Inequality(LambdaVector(tuple(x + y for x, y in zip(a.lam, b.lam))),
                        tuple(x + y for x, y in zip(a.f_values, b.f_values)))
-    assert inequality_to_row(total) not in {inequality_to_row(i) for i in gen}
+    assert total.row not in {i.row for i in gen}
     calls = count_solves(monkeypatch)
     assert systems_equivalent(gen + [total], gen)
     assert systems_equivalent(gen, gen + [total])

@@ -1,12 +1,14 @@
 import itertools
+import json
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from golden import TABLES
-from oracles import (assert_feasible_point, closure_redundancy_lp,
-                     superposition_feasibility_lp)
+from oracles import (assert_feasible_point, check_achievable_inequalities_fraction,
+                     closure_redundancy_lp, superposition_feasibility_lp)
 from smdc import region
 from smdc.errors import ResourceLimitError
 from smdc.generator import count_ordered
@@ -59,8 +61,8 @@ def test_table_rows_are_remembered():
 def test_closure_reuses_ordered_f(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = region.f_vector
-    monkeypatch.setattr(region, "f_vector",
+    real = region.scaled_row
+    monkeypatch.setattr(region, "scaled_row",
                         lambda lam: calls.append(lam) or real(lam))
     assert len(list_inequalities(4, ordered_only=False)) == 53
     assert len(calls) == count_ordered(4) == 9
@@ -71,7 +73,7 @@ def test_closure_reuses_ordered_f(monkeypatch):
 def test_interrupted_table_is_rebuilt(monkeypatch):
     monkeypatch.setattr(region, "_TABLES", {})
     calls = []
-    real = region.f_vector
+    real = region.scaled_row
 
     def interrupt_fifth(lam):
         calls.append(lam)
@@ -79,7 +81,7 @@ def test_interrupted_table_is_rebuilt(monkeypatch):
             raise KeyboardInterrupt
         return real(lam)
 
-    monkeypatch.setattr(region, "f_vector", interrupt_fifth)
+    monkeypatch.setattr(region, "scaled_row", interrupt_fifth)
     with pytest.raises(KeyboardInterrupt):
         list_inequalities(5)
     assert [(tuple(i.lam), i.f_values, i.theta) for i in list_inequalities(5)] == TABLES[5]
@@ -124,6 +126,90 @@ def test_early_reject_stops_at_once():
     assert time.perf_counter() - start < 3
     assert not verdict.achievable
     assert tuple(verdict.witness_inequality.lam) == (1, 1) + (0,) * 11
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+          73, 79, 83, 89, 97)
+
+
+def prime_fraction(rng) -> F:
+    """0 one time in five, else k/p with p 1 or a prime up to 97."""
+    if rng.randrange(5) == 0:
+        return F(0)
+    return F(1 + rng.randrange(60), rng.choice((1,) + PRIMES))
+
+
+def scan_queries(rng, L: int, thorough: bool = True):
+    """A random (rates, entropies) draw over prime denominators with zeros,
+    and rates h with entropies (h, 0, ..., 0), on every row at once.
+    ``thorough`` adds the all-zero rates and entropies, the symmetric tight
+    point (on the all-ones row), and the draw scaled onto the row that binds
+    it, each on-row point also nudged below.  Rates come in a random order."""
+    entropies = tuple(prime_fraction(rng) for _ in range(L))
+    rates = tuple(prime_fraction(rng) for _ in range(L))
+    h = entropies[0] or F(1, 97)
+    draws = [(rates, entropies), ((h,) * L, (h,) + (F(0),) * (L - 1))]
+    if thorough:
+        tight = sum(h / a for a, h in enumerate(entropies, 1))
+        draws += [((F(0),) * L, entropies), (rates, (F(0),) * L), ((tight,) * L, entropies),
+                  ((tight * F(9408, 9409),) * L, entropies)]
+        ascending = sorted(rates)
+        ratios = [row.lhs(ascending) / rhs for row in ordered_inequalities(L)
+                  if (rhs := row.rhs(entropies))]
+        if min(ratios, default=0):
+            on_row = tuple(r / min(ratios) for r in rates)
+            draws += [(on_row, entropies), (tuple(r * F(9408, 9409) for r in on_row), entropies)]
+    for rates, entropies in draws:
+        order = list(range(L))
+        for i in range(L - 1, 0, -1):
+            j = rng.randrange(i + 1)
+            order[i], order[j] = order[j], order[i]
+        yield tuple(rates[i] for i in order), entropies
+
+
+def test_integer_scan_matches_fraction_scan(monkeypatch):
+    """Verdict and witness bytes of the integer scan equal the Fraction
+    scan's on seeded draws at L = 1..11, L = 11 on streamed rows, and again
+    with the rows of L = 6..8 streamed; the on-row draws are achievable,
+    equality counting as achievable."""
+    rng = SplitMix64(2024)
+
+    def verdicts(L: int, queries) -> set[bool]:
+        seen = set()
+        for rates, entropies in queries:
+            query = RateQuery(rates, entropies)
+            got = check_achievable_inequalities(query)
+            want = check_achievable_inequalities_fraction(query)
+            assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj()), \
+                (L, rates, entropies)
+            seen.add(got.achievable)
+        return seen
+
+    rounds = {L: 6 for L in range(1, 7)} | {7: 4, 8: 3, 9: 2, 10: 1}
+    for L, n in rounds.items():
+        seen = set().union(*(verdicts(L, scan_queries(rng, L, thorough=L <= 8))
+                             for _ in range(n)))
+        assert seen == {True, False}, L
+    assert verdicts(11, itertools.islice(scan_queries(rng, 11, thorough=False), 1)) == {False}
+    monkeypatch.setattr(region, "MAX_REMEMBERED_L", 5)
+    for L in (6, 7, 8):
+        assert verdicts(L, scan_queries(rng, L)) == {True, False}, L
+
+
+def test_table_memory_budget(monkeypatch):
+    """The L=9 and L=10 tables, integer rows included, take at most 7.44 MiB
+    traced: the tables without integer rows peaked at 5.80-5.94 MiB on Python
+    3.11-3.13, and the rows may add 1.5 MiB."""
+    monkeypatch.setattr(region, "_TABLES", {})
+    tracemalloc.start()
+    try:
+        tables = [list(ordered_inequalities(L)) for L in (9, 10)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(rows) for rows in tables] == [count_ordered(9), count_ordered(10)]
+    assert all(len(row.row) == 2 * row.L for rows in tables for row in rows)
+    assert peak <= 7.44 * 2 ** 20
 
 
 def test_check_examples_level2():
